@@ -512,13 +512,6 @@ def lite_role_closure_reduction(
     extra = []
     for p in closed_roles:
         a_p = concept_of[p]
-        # a_p holds exactly the origins of p-edges
-        extra.append(ExistsAxiom(a_p, p, TOP))
-        extra.append(ForallAxiom(TOP, p.inverse(), concept_of[p]))
-        # wait: the collector for origins propagates along the inverse
-    extra = []
-    for p in closed_roles:
-        a_p = concept_of[p]
         extra.append(ExistsAxiom(a_p, p, TOP))
         extra.append(ForallAxiom(TOP, p, concept_of[p.inverse()]))
         extra.append(ExistsAxiom(a_p, p, concept_of[p.inverse()]))

@@ -27,6 +27,7 @@ from .closedworld import (
 )
 from .entailment import entails_under_closed_queries, EntailmentVerdict
 from .errors import DialectError, ScopeError
+from .ineq import DEFAULT_VALUE_CAP
 from .mosaic import mixed_sat, MixedSatVerdict
 from .oracle import (
     AnswerSet,
@@ -80,7 +81,7 @@ class Bounds:
 
     fresh_bound: int = DEFAULT_FRESH_BOUND
     instance_bound: int = DEFAULT_INSTANCE_BOUND
-    value_cap: int = 16
+    value_cap: int = DEFAULT_VALUE_CAP
     ceiling: int = 10 ** 4
 
 
@@ -290,6 +291,8 @@ class DeterminacyVerdict:
 
     @property
     def tier(self) -> str:
+        if not self.certified:
+            return "unknown"
         return {"holds": "positive", "refuted": "negative", "unknown": "unknown"}[self.kind]
 
 
@@ -338,7 +341,7 @@ def check_determinacy(
                         "refuted", certified=True, witness=(inst, j1, j2, q, diff)
                     )
     certified = _certified_exhaustive(onto, bounds, config.determined)
-    return DeterminacyVerdict("holds" if certified else "holds", certified=certified)
+    return DeterminacyVerdict("holds", certified=certified)
 
 
 # ---------------------------------------------------------------------------

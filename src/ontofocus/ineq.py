@@ -9,28 +9,39 @@ Solving strategy (`solve_enriched`):
 
 1. `eliminate_infinity` rewrites to a plain-integer system with one fresh
    companion variable per original variable tracking "is infinite".
-2. Implications are branched: either the antecedent sum is pinned to
-   zero, or one consequent variable is pinned positive.
-3. Each branch leaf is an ordinary system; exact rational feasibility is
-   decided by Fourier-Motzkin elimination.  A rationally infeasible leaf
-   is refuted independently of any value cap.  A feasible leaf yields an
-   integer point either by scaling (valid when every inequation has a
-   non-negative constant: solutions of such systems scale up) or by a
-   bounded search that prefers sparse supports.
+2. A depth-first search pins variables to 0 or 1 and adds bound rows.
+   Each node gets its greatest support: one exact LP (`_simplex_support`,
+   a bounded simplex with Bland's rule in rational arithmetic) finds the
+   variables that can be positive in a rational solution,
+   `_maximal_admissible` drops the antecedents whose consequents cannot,
+   and the two repeat until stable.  A node without a rational solution
+   is refuted, whatever the cap.
+3. A cardinality group (a row x1 + ... + xk - 1 <= 0) with more than
+   one live member and none pinned is branched: each live member pinned
+   to 1 in turn, in increasing order of its LP value, then all members 0.
+   (A member the LP had to raise is carrying other rows; pinned to
+   exactly 1 it more often fails.)
+4. With no group open, a node whose rows that mention a live variable
+   all have constants >= 0 after pinning is decided exactly: its
+   solutions are closed under addition and scaling, so the LP point
+   times the lcm of its denominators is an integer solution.  A node with
+   a negative substituted constant (a pinned 1 on the right of an
+   inverse-functional row, say) needs an integer point: branch-and-bound
+   on the same LP, with every bound above the value cap cut.
 
-NoSolution is reported only when every branch is refuted rationally, so
-it never depends on the cap; failing to find an integer point within the
-cap yields UnknownAtCap instead.
+NoSolution is reported only when every node is refuted and nothing was
+cut, so it never depends on the cap.  UnknownAtCap is reported only when
+the node budget runs out, or when a node with a negative substituted
+constant has no integer point within the value cap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from math import ceil, floor, gcd, lcm
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 # ---------------------------------------------------------------------------
 # Extended naturals
@@ -325,166 +336,6 @@ def backward_translation(system: EnrichedIneqSystem, solution: Dict[str, ExtNat]
 
 
 # ---------------------------------------------------------------------------
-# Exact rational feasibility (Fourier-Motzkin)
-# ---------------------------------------------------------------------------
-
-
-class FMOverflow(Exception):
-    """Raised when elimination exceeds the row budget."""
-
-
-_Row = Tuple[Tuple[Tuple[str, Fraction], ...], Fraction]  # sum coeff*x <= const
-
-
-def _normalize_row(coeffs: Dict[str, Fraction], const: Fraction) -> Optional[_Row]:
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    if not coeffs:
-        return None if const >= 0 else ((), const)
-    scale = max(abs(c) for c in coeffs.values())
-    items = tuple(sorted((v, c / scale) for v, c in coeffs.items()))
-    return items, const / scale
-
-
-class _FM:
-    """Feasibility of {rows, x >= lower[x]} over the rationals, with a
-    sample point on success.
-
-    Variables whose coefficients all share one sign are swept away in
-    batches (their rows impose nothing on the rest); genuine
-    combinations happen only for the two-sided residue.  The trace keeps
-    only the rows mentioning each eliminated variable, enough for
-    back-substitution.
-    """
-
-    def __init__(self, rows: Sequence[_Row], lowers: Dict[str, Fraction], budget: int = 2000000):
-        self.budget = budget
-        self.ops = 0
-        self.trace: List[Tuple[str, List[_Row]]] = []
-        seen = set()
-        self.rows: List[_Row] = []
-        all_rows = list(rows)
-        for v, lo in sorted(lowers.items()):
-            all_rows.append((((v, Fraction(-1)),), Fraction(-lo)))
-        for row in all_rows:
-            if row not in seen:
-                seen.add(row)
-                self.rows.append(row)
-        self.feasible: Optional[bool] = None
-
-    def _charge(self, n: int):
-        self.ops += n
-        if self.ops > self.budget:
-            raise FMOverflow()
-
-    def run(self) -> bool:
-        rows = self.rows
-        while True:
-            counts: Dict[str, List[int]] = {}
-            for items, const in rows:
-                if not items and const < 0:
-                    self.feasible = False
-                    return False
-                for w, c in items:
-                    entry = counts.setdefault(w, [0, 0])
-                    entry[0 if c > 0 else 1] += 1
-            self._charge(sum(len(items) for items, _ in rows))
-            if not counts:
-                self.feasible = True
-                return True
-
-            one_sided = sorted(
-                w for w, (p, n) in counts.items() if p == 0 or n == 0
-            )
-            if one_sided:
-                # rows touching a one-sided variable impose nothing on the
-                # others once that variable is free to move; drop them
-                dropped = set(one_sided)
-                for v in one_sided:
-                    self.trace.append(
-                        (v, [r for r in rows if any(w == v for w, _ in r[0])])
-                    )
-                rows = [
-                    r for r in rows if not any(w in dropped for w, _ in r[0])
-                ]
-                continue
-
-            v = min(counts, key=lambda w: (counts[w][0] * counts[w][1], w))
-            self.trace.append(
-                (v, [r for r in rows if any(w == v for w, _ in r[0])])
-            )
-            pos, neg, rest = [], [], []
-            for items, const in rows:
-                coeff = dict(items).get(v)
-                if coeff is None:
-                    rest.append((items, const))
-                elif coeff > 0:
-                    pos.append((dict(items), const))
-                else:
-                    neg.append((dict(items), const))
-            new_rows = list(rest)
-            seen = set(rest)
-            for pc, pconst in pos:
-                for nc, nconst in neg:
-                    self._charge(len(pc) + len(nc))
-                    a, b = pc[v], -nc[v]
-                    combo = {}
-                    for w, c in pc.items():
-                        if w != v:
-                            combo[w] = combo.get(w, Fraction(0)) + c * b
-                    for w, c in nc.items():
-                        if w != v:
-                            combo[w] = combo.get(w, Fraction(0)) + c * a
-                    norm = _normalize_row(combo, pconst * b + nconst * a)
-                    if norm is not None and norm not in seen:
-                        seen.add(norm)
-                        new_rows.append(norm)
-            rows = new_rows
-
-    def sample(self) -> Dict[str, Fraction]:
-        """A rational point satisfying all rows; valid after run() -> True."""
-        assert self.feasible
-        values: Dict[str, Fraction] = {}
-        for v, rows in reversed(self.trace):
-            lo, hi = None, None
-            for items, const in rows:
-                coeffs = dict(items)
-                if v not in coeffs:
-                    continue
-                rest = const
-                ok = True
-                for w, c in coeffs.items():
-                    if w == v:
-                        continue
-                    if w not in values:
-                        ok = False
-                        break
-                    rest -= c * values[w]
-                if not ok:
-                    continue
-                bound = rest / coeffs[v]
-                if coeffs[v] > 0:
-                    hi = bound if hi is None else min(hi, bound)
-                else:
-                    lo = bound if lo is None else max(lo, bound)
-            value = lo if lo is not None else Fraction(0)
-            if hi is not None and value > hi:
-                value = hi
-            values[v] = value
-        return values
-
-
-def _ineq_to_row(e: LinearInequation, zeros: frozenset) -> Optional[_Row]:
-    coeffs: Dict[str, Fraction] = {}
-    for c, v in e.lhs:
-        if v not in zeros:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-    for c, v in e.rhs:
-        if v not in zeros:
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-    return _normalize_row(coeffs, Fraction(-e.const))
-
-
-# ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
 
@@ -506,193 +357,174 @@ class UnknownAtCap:
     tier = "unknown"
 
 
-SolveResult = object
-
-
 # ---------------------------------------------------------------------------
-# Solving
+# Exact rational LP: the greatest support of a cone
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_VALUE_CAP = 16
-_GRID_VARS_LIMIT = 5
-_GRID_BUDGET = 300000
-_BRANCH_BUDGET = 200000
-_SPARSE_LEAVES_FIRST = 12
+def _simplex_support(rows: Sequence[Dict[int, int]], n: int) -> List[Fraction]:
+    """Maximise t_0 + ... + t_{n-1} over x_j = t_j + s_j with 0 <= t_j <= 1
+    and s_j >= 0, subject to sum_j a_j * x_j <= 0 for every (integer) row;
+    return x.
 
-
-class _LeafOutcome:
-    REFUTED = "refuted"
-    UNKNOWN = "unknown"
-
-
-def _substituted_row(e: LinearInequation, ones: frozenset, zeros: frozenset):
-    """Coefficients and effective constant of an inequation after
-    substituting zero- and one-pinned variables."""
-    coeffs: Dict[str, Fraction] = {}
-    const = e.const
-    for c, v in e.lhs:
-        if v in zeros:
-            continue
-        if v in ones:
-            const += c
-        else:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-    for c, v in e.rhs:
-        if v in zeros:
-            continue
-        if v in ones:
-            const -= c
-        else:
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-    return coeffs, const
-
-
-def _solve_leaf(
-    ineqs: Sequence[LinearInequation],
-    variables: Sequence[str],
-    positives: frozenset,
-    zeros: frozenset,
-    cap: int,
-    ones: frozenset = frozenset(),
-    imps: Sequence[Implication] = (),
-    refute_only: bool = False,
-    soft_positives: bool = False,
-    want_sample: Optional[dict] = None,
-    fm_budget: int = 2000000,
-):
-    """Solve one ordinary-integer leaf exactly where possible.
-
-    Variables in `ones` are pinned to exactly 1, `zeros` to 0, and
-    `positives` to >= 1.  With soft_positives the positive set only
-    seeds the search and candidates may shrink below it (implications
-    are then verified directly).  Returns an assignment dict, REFUTED
-    (rationally infeasible: cap-independent), or UNKNOWN.
+    The rows define a cone, closed under addition and scaling, so at the
+    optimum every column that is positive somewhere in the cone has
+    t_j = 1, and every other column is zero.  Bounded primal simplex in
+    exact arithmetic with Bland's rule: the entering and the leaving
+    variable are the eligible ones of least index, so degenerate pivots
+    cannot cycle.  Variables 0..n-1 are the t_j, n..2n-1 the s_j and
+    2n+i the slack of row i; the origin is the feasible start.  Each
+    tableau row is kept as integers over one common denominator, which is
+    much cheaper than a Fraction per entry.
     """
-    rows = []
-    effective_consts = []
-    for e in ineqs:
-        coeffs, const = _substituted_row(e, ones, zeros)
-        effective_consts.append(const)
-        row = _normalize_row(coeffs, Fraction(-const))
-        if row is not None:
-            if not row[0] and row[1] < 0:
-                return _LeafOutcome.REFUTED
-            rows.append(row)
-    occurring = {v for items, _ in rows for v, _ in items}
-    lowers = {v: Fraction(1 if v in positives else 0) for v in occurring}
-    fm = _FM(rows, lowers, budget=fm_budget)
-    try:
-        feasible = fm.run()
-    except FMOverflow:
-        return _LeafOutcome.UNKNOWN
-    if not feasible:
-        return _LeafOutcome.REFUTED
-    if refute_only and want_sample is None:
-        return _LeafOutcome.UNKNOWN
+    m = len(rows)
+    basis = [2 * n + i for i in range(m)]
+    # row i reads: x_basis[i] = value[basis[i]] - sum_k tableau[i][k] / denom[i] * dx_k,
+    # dx_k the move of nonbasic x_k away from its current value
+    tableau = []
+    for row in rows:
+        entries: Dict[int, int] = {}
+        for j, a in row.items():
+            entries[j] = entries[n + j] = a
+        tableau.append(entries)
+    denom = [1] * m
+    value = [Fraction(0)] * (2 * n + m)
+    cost = {j: 1 for j in range(n)}  # reduced costs of the nonbasic variables
+    cost_denom = 1
+    at_upper: set = set()
+    while True:
+        enter = min(
+            (k for k, d in cost.items() if (d > 0 if k not in at_upper else d < 0)),
+            default=None,
+        )
+        if enter is None:
+            return [value[j] + value[n + j] for j in range(n)]
+        step = -1 if enter in at_upper else 1
+        # the ratio test; a t_j entering is also stopped by its own bound
+        theta, leave, least = (Fraction(1), None, enter) if enter < n else (None, None, None)
+        column = []
+        for i, entries in enumerate(tableau):
+            a = entries.get(enter)
+            if not a:
+                continue
+            rate = Fraction(a * step, denom[i])  # x_basis[i] falls at this rate
+            column.append((i, rate))
+            b = basis[i]
+            if rate > 0:
+                limit = value[b] / rate
+            elif b < n:
+                limit = (value[b] - 1) / rate
+            else:
+                continue
+            if theta is None or limit < theta or (limit == theta and b < least):
+                theta, leave, least = limit, i, b
+        for i, rate in column:
+            value[basis[i]] -= rate * theta
+        value[enter] += step * theta
+        if leave is None:  # a t_j moves to its other bound
+            at_upper ^= {enter}
+            continue
+        old = basis[leave]
+        at_upper.discard(enter)
+        if old < n and value[old] == 1:
+            at_upper.add(old)
+        # pivot: solve row `leave` for the entering variable
+        new = tableau[leave]
+        p = new.pop(enter)
+        new[old] = denom[leave]
+        if p < 0:
+            p = -p
+            new = {k: -a for k, a in new.items()}
+        g = gcd(p, *new.values())
+        new_denom = p // g
+        new = {k: a // g for k, a in new.items()}
+        tableau[leave], denom[leave], basis[leave] = new, new_denom, enter
+        for i, entries in enumerate(tableau):
+            a = entries.pop(enter, None) if i != leave else None
+            if a:
+                denom[i] = _eliminate(entries, denom[i], a, new, new_denom)
+        cost_denom = _eliminate(cost, cost_denom, cost.pop(enter), new, new_denom)
 
-    def verify(cand: Dict[str, int]) -> bool:
-        assignment = {v: ExtNat(cand.get(v, 0)) for v in variables}
-        for e in ineqs:
-            if not e.holds(assignment):
-                return False
-        if not soft_positives:
-            for v in positives:
-                if assignment[v] == ZERO:
-                    return False
-        for v in zeros:
-            if assignment[v] != ZERO:
-                return False
-        for v in ones:
-            if assignment[v] != ExtNat(1):
-                return False
-        for imp in imps:
-            if not imp.holds(assignment):
-                return False
-        return True
 
-    def complete(cand: Dict[str, int]) -> Dict[str, int]:
-        out = {v: n for v, n in cand.items() if n}
-        for v in ones:
-            out[v] = 1
-        for v in positives:
-            out.setdefault(v, 1)
-        return out
+def _eliminate(entries: Dict[int, int], d: int, a: int, new: Dict[int, int], nd: int) -> int:
+    """Replace entries/d by entries/d - (a/d) * new/nd, kept in place as
+    integers over their least common denominator; return that denominator."""
+    if nd != 1:
+        for k in entries:
+            entries[k] *= nd
+    for k, b in new.items():
+        c = entries.get(k, 0) - a * b
+        if c:
+            entries[k] = c
+        else:
+            del entries[k]
+    g = gcd(d * nd, *entries.values())
+    if g != 1:
+        for k in entries:
+            entries[k] //= g
+    return d * nd // g
 
-    def minimized(cand: Dict[str, int]) -> Dict[str, int]:
-        """Greedily shrink values to a pass-stable point, re-verifying."""
-        out = dict(cand)
-        if len([v for v, n in out.items() if n]) > 400:
-            return out  # minimizing huge supports costs more than it helps
-        for _ in range(6):
-            changed = False
-            for v in sorted(out):
-                if v in ones:
-                    continue
-                floor = 1 if (v in positives and not soft_positives) else 0
-                while out[v] > floor:
-                    trial = dict(out)
-                    trial[v] = floor if out[v] <= floor + 4 else out[v] // 2
-                    if verify(trial):
-                        out = trial
-                        changed = True
-                    else:
-                        if trial[v] == floor:
-                            break
-                        trial[v] = out[v] - 1
-                        if verify(trial):
-                            out = trial
-                            changed = True
-                        else:
-                            break
-            if not changed:
-                break
-        return {v: n for v, n in out.items() if n}
 
-    sample = fm.sample()
-    for v in occurring:
-        sample.setdefault(v, Fraction(1 if v in positives else 0))
-    if want_sample is not None:
-        want_sample.update(sample)
-        if refute_only:
-            return _LeafOutcome.UNKNOWN
+_SCALE = None  # the homogenising column: a point x of the cone stands for x / x[_SCALE]
 
-    # scaling shortcut: if every substituted constant is >= 0, solutions
-    # of the reduced system scale up, so clearing denominators of the
-    # rational sample stays feasible
-    if all(c >= 0 for c in effective_consts):
-        denom = reduce(lcm, (f.denominator for f in sample.values()), 1)
-        cand = complete({v: int(f * denom) for v, f in sample.items()})
-        if verify(cand):
-            return minimized(cand)
 
-    # rounding heuristic, verified before acceptance
-    from math import ceil
+def _cone_point(rows: List[dict], columns: Sequence) -> dict:
+    """A point x >= 0 with sum_c a_c * x_c <= 0 for every row that is
+    positive on every column positive at some such point.
 
-    cand = complete({v: int(ceil(f)) for v, f in sample.items()})
-    if verify(cand):
-        return minimized(cand)
+    Exact presolve first: a column whose coefficients are all negative
+    can grow until its rows hold, so it is positive and its rows drop;
+    repeated, this leaves a core.  Core columns with equal coefficients
+    are merged (any point can share a merged value out among them), and
+    `_simplex_support` solves the merged core.  The dropped columns are
+    then set in reverse order, each to the least multiple of the scale
+    column's value (or 1) that meets its rows."""
+    by_col: Dict[object, List[int]] = {c: [] for c in columns}
+    for i, row in enumerate(rows):
+        for c in row:
+            by_col[c].append(i)
+    live = set(range(len(rows)))
+    core = list(columns)
+    dropped = []
+    while True:
+        free = [c for c in core if all(rows[i][c] < 0 for i in by_col[c] if i in live)]
+        if not free:
+            break
+        for c in free:
+            mine = [i for i in by_col[c] if i in live]
+            live.difference_update(mine)
+            dropped.append((c, mine))
+        free_set = set(free)
+        core = [c for c in core if c not in free_set]
 
-    # bounded search preferring sparse supports
-    active = sorted(occurring | set(positives))
-    free = [v for v in active if v not in positives]
-    base = sorted(positives)
-    if len(base) <= _GRID_VARS_LIMIT:
-        attempts = 0
-        max_extra = min(len(free), 3)
-        for extra_size in range(0, max_extra + 1):
-            for extra in itertools.combinations(free, extra_size):
-                support = base + list(extra)
-                if len(support) > _GRID_VARS_LIMIT:
-                    continue
-                for values in itertools.product(range(1, cap + 1), repeat=len(support)):
-                    attempts += 1
-                    if attempts > _GRID_BUDGET:
-                        return _LeafOutcome.UNKNOWN
-                    cand = complete(dict(zip(support, values)))
-                    if verify(cand):
-                        return cand
-    return _LeafOutcome.UNKNOWN
+    merged: Dict[tuple, list] = {}
+    for c in core:
+        merged.setdefault(tuple((i, rows[i][c]) for i in by_col[c] if i in live), []).append(c)
+    classes = list(merged.values())
+    index = {c: k for k, cls in enumerate(classes) for c in cls}
+    lp_rows = {}
+    for i in sorted(live):
+        entries = {index[c]: a for c, a in rows[i].items()}
+        lp_rows.setdefault(tuple(sorted(entries.items())), entries)
+    x = _simplex_support(list(lp_rows.values()), len(classes))
+    point = {c: x[k] / len(cls) for k, cls in enumerate(classes) for c in cls}
+
+    for c, mine in reversed(dropped):
+        need = max(
+            (
+                sum(a * point[d] for d, a in rows[i].items() if d != c) / -rows[i][c]
+                for i in mine
+            ),
+            default=Fraction(0),
+        )
+        unit = point.get(_SCALE) or Fraction(1)
+        point[c] = unit * max(1, ceil(need / unit))
+    return point
+
+
+# ---------------------------------------------------------------------------
+# Greatest support of a node
+# ---------------------------------------------------------------------------
 
 
 def _propagate_zeros(
@@ -722,24 +554,114 @@ def _propagate_zeros(
     return zeros
 
 
-def _maximal_admissible(
-    variables: Sequence[str], imps: Sequence[Implication], zeros: set
-) -> set:
-    """Greatest set S of variables such that every implication fired
-    inside S has a consequent inside S.  Every solution's support is
+def _watchers(imps: Sequence[Implication]) -> Dict[str, list]:
+    """Map each variable to the pairs (consequent, antecedents) it is a
+    consequent of: one pair per distinct consequent, whose antecedents
+    are those of all implications with that consequent."""
+    by_consequent: Dict[tuple, list] = {}
+    for imp in imps:
+        by_consequent.setdefault(imp.consequent, []).extend(imp.antecedent)
+    watchers: Dict[str, list] = {}
+    for pair in by_consequent.items():
+        for v in pair[0]:
+            watchers.setdefault(v, []).append(pair)
+    return watchers
+
+
+def _maximal_admissible(alive: set, zeros: Iterable[str], watchers: Dict[str, list]) -> set:
+    """Greatest subset S of `alive` without `zeros` such that every
+    implication fired inside S has a consequent inside S, given that
+    `alive` is such a set (all variables are: consequents are nonempty).
+    `watchers` comes from `_watchers`.  Every solution's support is
     admissible, hence contained in S: variables outside are zero in
     every solution."""
-    alive = set(variables) - zeros
-    changed = True
-    while changed:
-        changed = False
-        for imp in imps:
-            if not any(v in alive for v in imp.consequent):
-                dead = [v for v in imp.antecedent if v in alive]
-                if dead:
-                    alive.difference_update(dead)
-                    changed = True
+    alive = set(alive)
+    dead = [v for v in set(zeros) if v in alive]
+    alive.difference_update(dead)
+    # alive only shrinks, so the scan of a consequent for a live variable
+    # resumes where it last stopped; past the end, its antecedents are gone
+    scanned: Dict[int, int] = {}
+    while dead:
+        for consequent, antecedents in watchers.get(dead.pop(), ()):
+            k = scanned.get(id(consequent), 0)
+            while k < len(consequent) and consequent[k] not in alive:
+                k += 1
+            if k == len(consequent):
+                k += 1
+                for v in antecedents:
+                    if v in alive:
+                        alive.discard(v)
+                        dead.append(v)
+            scanned[id(consequent)] = k
     return alive
+
+
+def _rational_point(ineqs: Sequence[LinearInequation], live: set, ones: frozenset):
+    """A rational solution with the `ones` at 1 and every variable outside
+    `live` at 0 that is positive on as many live variables as any such
+    solution, as (its positive entries, scalable); or None when there is
+    none.  `scalable` tells that every row mentioning a live variable has
+    a non-negative constant once the ones are substituted, so that the
+    solutions are closed under addition and scaling."""
+    rows = []
+    scalable = True
+    for e in ineqs:
+        row: Dict[object, int] = {}
+        const = e.const
+        for sign, side in ((1, e.lhs), (-1, e.rhs)):
+            for c, v in side:
+                if v in live:
+                    row[v] = row.get(v, 0) + sign * c
+                elif v in ones:
+                    const += sign * c
+        row = {v: a for v, a in row.items() if a}
+        if not row:
+            if const > 0:
+                return None
+            continue
+        if const:
+            row[_SCALE] = const
+            scalable = scalable and const > 0
+        rows.append(row)
+    point = _cone_point(rows, sorted(live) + [_SCALE])
+    scale = point[_SCALE]
+    if not scale:
+        return None
+    return {v: point[v] / scale for v in live if point[v]}, scalable
+
+
+def _greatest_support(ineqs, variables, watchers, ones: frozenset, alive: frozenset, removed):
+    """The greatest support fixpoint of a node: `alive` is an admissible
+    set holding every solution's support, `removed` must be zero too.
+    Ask the LP which live variables can be positive, drop those that
+    `_maximal_admissible` rules out, repeat until stable.  Every
+    solution's support lies inside each stage, so None (no rational
+    solution, or a pinned one dropped) refutes the node; otherwise the
+    result of `_rational_point` for the fixpoint, whose support meets
+    every implication."""
+    alive = _maximal_admissible(alive, removed, watchers)
+    if not ones <= alive:
+        return None
+    zeros = _propagate_zeros(ineqs, set(variables).difference(alive), ones)
+    if zeros is None:
+        return None
+    alive = _maximal_admissible(alive, zeros, watchers)
+    while ones <= alive:
+        live = alive - ones
+        found = _rational_point(ineqs, live, ones)
+        if found is None or len(found[0]) == len(live):
+            return found
+        alive = _maximal_admissible(alive, live.difference(found[0]), watchers)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Solving
+# ---------------------------------------------------------------------------
+
+
+DEFAULT_VALUE_CAP = 16
+_NODE_BUDGET = 2000  # search nodes per call: group pinnings and integer branches
 
 
 def _cardinality_groups(ineqs: Sequence[LinearInequation]) -> List[tuple]:
@@ -761,7 +683,12 @@ def _cardinality_groups(ineqs: Sequence[LinearInequation]) -> List[tuple]:
     return groups
 
 
-_CARDINALITY_BUDGET = 4096
+def _pin_each(ones: frozenset, alive: frozenset, bounds: tuple, group, members):
+    """The children of a node branched on a cardinality group: each live
+    member pinned to one in turn, then the whole group at zero."""
+    for v in members:
+        yield ones | {v}, alive, [u for u in group if u != v], bounds
+    yield ones, alive, group, bounds
 
 
 def solve_enriched(
@@ -769,220 +696,87 @@ def solve_enriched(
 ):
     """Decide feasibility of an enriched system over N*.
 
-    Deterministic pipeline: presolve pins provably-zero variables;
-    cardinality rows (sum <= 1) branch over which variable, if any, is
-    the realized one; per branch, a single rational-relaxation check
-    refutes cap-independently, a dense-support attempt finds scalable
-    solutions, and remaining implications branch with the
-    antecedent-zero alternative explored first.
+    Depth-first search over nodes (pinned ones, an admissible set holding
+    the supports of the node's solutions, variables to zero, bound rows),
+    each judged by its greatest support (`_greatest_support`):
+
+    - a refuted node is dropped, whatever the cap;
+    - the first cardinality group with more than one live member and
+      none pinned is branched by `_pin_each`, members in increasing LP
+      value;
+    - a node whose rows with a live variable all have constants >= 0 is
+      solved: its LP point times the lcm of its denominators (pinned ones
+      stay 1) is an integer solution;
+    - otherwise its LP point is a solution if integral; if not, the node
+      branches on its first fractional variable x = f into x <= floor(f)
+      (a zero pin at 0) and x >= ceil(f), cutting bounds above
+      `value_cap`.
+
+    NoSolution comes only when every node was refuted and nothing was
+    cut.  UnknownAtCap comes only after `_NODE_BUDGET` nodes, or when a
+    cut left a node with a negative substituted constant without an
+    integer point within `value_cap`.  Every Solution is checked against
+    the system.
     """
     rewritten = eliminate_infinity(system)
     variables = sorted(rewritten.variables)
     ineqs = rewritten.sorted_inequations()
-    imps = rewritten.sorted_implications()
-    state = {"unknown": False, "budget": _BRANCH_BUDGET}
+    groups = _cardinality_groups(ineqs)
+    watchers = _watchers(rewritten.implications)
 
-    def finish(result):
-        nat_solution = {v: ExtNat(result.get(v, 0)) for v in variables}
+    def finish(values: Dict[str, int]):
+        nat_solution = {v: ExtNat(values.get(v, 0)) for v in variables}
         lifted = backward_translation(system, nat_solution)
         if not check_solution(system, lifted):
             raise AssertionError("lifted solution failed verification")
         return Solution(lifted)
 
-    # one-shot global refutation: zeros propagated, implications dropped.
-    # On very large systems this relaxation is hopeless before the
-    # cardinality rows are substituted away, so it is skipped there and
-    # the per-branch relaxations carry the refutation duty.
-    zeros_g = _propagate_zeros(ineqs, set())
-    if zeros_g is None:
-        return NoSolution()
-    alive_g = _maximal_admissible(variables, imps, zeros_g)
-    if len(variables) <= 2500:
-        relax_g = _solve_leaf(
-            ineqs,
-            variables,
-            frozenset(),
-            frozenset(set(variables) - alive_g),
-            value_cap,
-            refute_only=True,
+    cut = False
+    stack = [iter([(frozenset(), frozenset(variables), (), ())])]
+    for _ in range(_NODE_BUDGET):
+        node = None
+        while stack and node is None:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+        if node is None:
+            return UnknownAtCap() if cut else NoSolution()
+        ones, alive, removed, bounds = node
+        found = _greatest_support(ineqs + list(bounds), variables, watchers, ones, alive, removed)
+        if found is None:
+            continue
+        point, scalable = found
+        # every solution of this node is zero outside the support
+        alive = ones.union(point)
+        group = next(
+            (g for g in groups if not ones.intersection(g) and sum(v in point for v in g) > 1),
+            None,
         )
-        if relax_g == _LeafOutcome.REFUTED:
-            return NoSolution()
-
-    groups = _cardinality_groups(ineqs)
-    combos = 1
-    for g in groups:
-        combos *= len(g) + 1
-    guided = combos > _CARDINALITY_BUDGET
-    if guided:
-        # too many combinations to branch exhaustively: derive one pinning
-        # from a budgeted rational relaxation (largest sample value per
-        # group), falling back to the least admissible member
-        zeros_guided: set = set()
-        ones_guided: set = set()
-        ok = True
-        for group in groups:
-            sample: dict = {}
-            outcome = _solve_leaf(
-                ineqs,
-                variables,
-                frozenset(),
-                frozenset(zeros_guided),
-                value_cap,
-                frozenset(ones_guided),
-                refute_only=True,
-                want_sample=sample,
-                fm_budget=300000,
-            )
-            if outcome == _LeafOutcome.REFUTED:
-                return NoSolution()
-            candidates = [
-                v for v in group if v not in zeros_guided and v in alive_g
-            ]
-            if not candidates:
-                ok = False
-                break
-            best = max(candidates, key=lambda v: (sample.get(v, Fraction(0)), v))
-            ones_guided.add(best)
-            zeros_guided.update(set(group) - {best})
-        guided_assignment = (
-            [(frozenset(ones_guided), set(zeros_guided))] if ok else []
-        )
-        groups = []
-
-    def group_assignments(idx, ones, zeros):
-        if idx >= len(groups):
-            yield ones, zeros
-            return
-        group = groups[idx]
-        if not (set(group) & ones):
-            # nobody in this group is realized
-            yield from group_assignments(idx + 1, ones, zeros | set(group))
-        for v in group:
-            if v in zeros:
-                continue
-            rest = set(group) - {v}
-            if rest & ones:
-                continue
-            yield from group_assignments(idx + 1, ones | {v}, zeros | rest)
-
-    def leaves(idx, positives, zeros, ones):
-        """DFS over implication decisions, yielding (positives, zeros)."""
-        if state["budget"] <= 0:
-            return
-        state["budget"] -= 1
-
-        def pos(v):
-            return v in positives or v in ones
-
-        while idx < len(imps):
-            imp = imps[idx]
-            if any(pos(v) for v in imp.antecedent):
-                break  # fired: must choose a positive consequent
-            if all(v in zeros for v in imp.antecedent):
-                idx += 1  # silenced: nothing to decide
-                continue
-            break
-        if idx >= len(imps):
-            yield positives, zeros
-            return
-        imp = imps[idx]
-        fired = any(pos(v) for v in imp.antecedent)
-        if not fired:
-            # alternative: pin the whole antecedent to zero
-            yield from leaves(
-                idx + 1, positives, zeros | frozenset(imp.antecedent), ones
-            )
-        if any(pos(v) for v in imp.consequent):
-            yield from leaves(idx + 1, positives, zeros, ones)
+        if group is not None:
+            members = sorted((v for v in group if v in point), key=lambda v: (point[v], v))
+            stack.append(_pin_each(ones, alive, bounds, group, members))
+            continue
+        if scalable:
+            scale = reduce(lcm, (x.denominator for x in point.values()), 1)
+            point = {v: x * scale for v, x in point.items()}
+        fractional = [v for v, x in point.items() if x.denominator != 1]
+        if not fractional:
+            values = {v: int(x) for v, x in point.items()}
+            values.update(dict.fromkeys(ones, 1))
+            return finish(values)
+        v = min(fractional)
+        low = floor(point[v])
+        if low > value_cap:
+            cut = True
+            low = value_cap
+        children = [
+            (ones, alive, (v,), bounds)
+            if low == 0
+            else (ones, alive, (), bounds + (LinearInequation(((1, v),), -low, ()),))
+        ]
+        if low + 1 <= value_cap:
+            children.append((ones, alive, (), bounds + (LinearInequation((), low + 1, ((1, v),)),)))
         else:
-            for v in sorted(set(imp.consequent)):
-                if v in zeros:
-                    continue
-                yield from leaves(idx + 1, positives | {v}, zeros, ones)
-
-    assignments = (
-        guided_assignment if guided else group_assignments(0, frozenset(), set())
-    )
-    if guided:
-        # the guided pinning is one branch of many: failing it proves nothing
-        state["unknown"] = True
-    for ones_set, zeros_seed in assignments:
-        ones = frozenset(ones_set)
-        # presolve: forced zeros, then implication admissibility
-        zeros0 = _propagate_zeros(ineqs, set(zeros_seed), ones)
-        if zeros0 is None or ones & zeros0:
-            continue
-        alive = _maximal_admissible(variables, imps, zeros0)
-        if ones - alive:
-            continue  # a pinned-one variable cannot be supported
-        pinned = frozenset(set(variables) - alive - ones)
-
-        # rational refutation of this branch's relaxation
-        relax = _solve_leaf(
-            ineqs, variables, frozenset(), pinned, value_cap, ones, refute_only=True
-        )
-        if relax == _LeafOutcome.REFUTED:
-            continue
-
-        # sparse-first: walk implication branches (antecedent-zero first,
-        # so early leaves have small supports), then fall back to the
-        # dense attempt, then exhaust the remaining branches.  On systems
-        # with many implications the dense attempt (minimized afterwards)
-        # is the realistic path, so the sparse phase is skipped.
-        sparse_budget = _SPARSE_LEAVES_FIRST if len(imps) <= 100 else 0
-
-        def try_dense():
-            dense_pos = frozenset(alive - ones)
-            return _solve_leaf(
-                ineqs,
-                variables,
-                dense_pos,
-                pinned,
-                value_cap,
-                ones,
-                imps,
-                soft_positives=True,
-            )
-
-        tried_dense = False
-        if sparse_budget == 0:
-            # implication branching is hopeless at this size: decide the
-            # branch by relaxation and the dense attempt alone
-            dense = try_dense()
-            if isinstance(dense, dict):
-                return finish(dense)
-            state["unknown"] = True
-            continue
-
-        leaf_iter = leaves(0, frozenset(), pinned, ones)
-        sparse_seen = 0
-        exhausted = False
-        while True:
-            nxt = next(leaf_iter, None)
-            if nxt is None:
-                exhausted = True
-            else:
-                positives, zeros = nxt
-                if positives & zeros or ones & zeros:
-                    continue
-                result = _solve_leaf(
-                    ineqs, variables, positives, zeros, value_cap, ones, imps
-                )
-                if isinstance(result, dict):
-                    return finish(result)
-                if result == _LeafOutcome.UNKNOWN:
-                    state["unknown"] = True
-                sparse_seen += 1
-            if (exhausted or sparse_seen >= sparse_budget) and not tried_dense:
-                tried_dense = True
-                dense = try_dense()
-                if isinstance(dense, dict):
-                    return finish(dense)
-                if dense == _LeafOutcome.UNKNOWN:
-                    state["unknown"] = True
-            if exhausted:
-                break
-    if state["unknown"] or state["budget"] <= 0:
-        return UnknownAtCap()
-    return NoSolution()
+            cut = True
+        stack.append(iter(children))
+    return UnknownAtCap()

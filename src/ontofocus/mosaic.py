@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .errors import DialectError, ResourceCeilingError
 from .ineq import (
     ALEPH0,
+    DEFAULT_VALUE_CAP,
     EnrichedIneqSystem,
     ExtNat,
     Implication,
@@ -41,7 +42,7 @@ from .ineq import (
     fin,
     solve_enriched,
 )
-from .oracle import EMPTY, Instance
+from .oracle import EMPTY, Instance, is_model
 from .syntax import (
     BOT,
     TOP,
@@ -62,7 +63,6 @@ from .syntax import (
 )
 
 DEFAULT_TILE_CEILING = 2 ** 20
-DEFAULT_VALUE_CAP = 16
 DEFAULT_PREFIX = 8
 
 UnaryType = FrozenSet[SimpleConcept]
@@ -498,8 +498,6 @@ def mixed_sat(
     if not onto.is_normalized():
         raise DialectError("mixed_sat requires a normalized ontology")
     sigma = frozenset(sigma)
-    from .oracle import is_model
-
     if is_model(EMPTY, onto):
         return MixedSatVerdict("sat", None, note="empty instance is a model")
     if method == "auto":

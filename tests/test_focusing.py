@@ -167,6 +167,21 @@ def test_determinacy_disaster_holds():
     assert v.kind == "holds"
 
 
+def test_determinacy_uncertified_holds_has_unknown_tier():
+    # an existential axiom defeats the exhaustive certificate: the bounded
+    # search finds no disagreement, which is not a proof
+    onto = Ontology.of([ExistsAxiom(A, role("r"), B)])
+    cfg = FocusingConfiguration.of(
+        schema={"A", "B"},
+        closed=[instance_query("A")],
+        determined=[instance_query("A")],
+    )
+    v = check_determinacy(onto, cfg)
+    assert v.kind == "holds"
+    assert not v.certified
+    assert v.tier == "unknown"
+
+
 # ---------------------------------------------------------------------------
 # focus
 # ---------------------------------------------------------------------------

@@ -191,6 +191,26 @@ def test_positive_system_with_all_finite_decided_without_cap():
     assert check_solution(h2, res2.assignment)
 
 
+def test_two_large_exactly_one_groups_are_solved():
+    # a_i > 0 forces u_i > 0, and u_i + b_i <= 1 then forbids b_i, so the
+    # b group must be realized at an index other than the a group's
+    n = 70
+    a = ["a%02d" % i for i in range(n)]
+    b = ["b%02d" % i for i in range(n)]
+    u = ["u%02d" % i for i in range(n)]
+    ineqs = []
+    for group in (a, b):
+        terms = tuple((1, v) for v in group)
+        ineqs.append(LinearInequation((), 1, terms))
+        ineqs.append(LinearInequation(terms, -1, ()))
+    for i in range(n):
+        ineqs.append(LinearInequation(((1, u[i]), (1, b[i])), -1, ()))
+    h = _sys(ineqs, imps=[Implication((a[i],), (u[i],)) for i in range(n)])
+    res = solve_enriched(h)
+    assert isinstance(res, Solution)
+    assert check_solution(h, res.assignment)
+
+
 # ---------------------------------------------------------------------------
 # brute-force agreement and translation round-trip
 # ---------------------------------------------------------------------------
@@ -207,7 +227,9 @@ def brute_force_verdict(h: EnrichedIneqSystem, cap: int):
     return None
 
 
-def random_system(rng: random.Random, max_vars=4, max_ineqs=4, max_imps=2):
+def random_system(rng: random.Random, max_vars=4, max_ineqs=4, max_imps=2, nonnegative=False):
+    """A small random system; with nonnegative=True every constant is >= 0,
+    so its solutions are closed under addition and scaling."""
     n_vars = rng.randint(1, max_vars)
     variables = ["x%d" % i for i in range(n_vars)]
 
@@ -221,7 +243,7 @@ def random_system(rng: random.Random, max_vars=4, max_ineqs=4, max_imps=2):
     for _ in range(rng.randint(0, max_ineqs)):
         lhs = terms(2)
         rhs = terms(2)
-        const = rng.randint(-2, 2)
+        const = rng.randint(0, 2) if nonnegative else rng.randint(-2, 2)
         if not lhs and not rhs:
             continue
         ineqs.append(LinearInequation(lhs, const, rhs))
@@ -234,14 +256,24 @@ def random_system(rng: random.Random, max_vars=4, max_ineqs=4, max_imps=2):
     return EnrichedIneqSystem.of(variables, ineqs, finite, imps)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_solver_agrees_with_brute_force(seed):
+# with all constants >= 0, rational feasibility decides: never UnknownAtCap
+AGREEMENT_CASES = [(seed, False) for seed in range(5)] + [(seed, True) for seed in range(5, 10)]
+
+
+@pytest.mark.parametrize(
+    "seed, nonnegative",
+    AGREEMENT_CASES,
+    ids=["%d" % s if not nn else "nonnegative-%d" % s for s, nn in AGREEMENT_CASES],
+)
+def test_solver_agrees_with_brute_force(seed, nonnegative):
     rng = random.Random(1000 + seed)
     cap = 6
     for _ in range(40):
-        h = random_system(rng)
+        h = random_system(rng, nonnegative=nonnegative)
         res = solve_enriched(h, value_cap=cap)
         brute = brute_force_verdict(h, cap)
+        if nonnegative:
+            assert not isinstance(res, UnknownAtCap), dump_system(h)
         if isinstance(res, Solution):
             assert check_solution(h, res.assignment)
         if brute is not None:
