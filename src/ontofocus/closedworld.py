@@ -28,6 +28,7 @@ from .oracle import (
     enumerate_instances,
     evaluate_query,
     is_model,
+    split_signature,
 )
 from .syntax import (
     BOT,
@@ -52,7 +53,7 @@ from .syntax import (
 )
 
 DEFAULT_INSTANCE_BOUND = 3
-DEFAULT_TYPE_CEILING = 2 ** 12
+UNARY_TYPE_CEILING = 2 ** 12  # unary types over the concepts of a closed extension
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +73,24 @@ def in_cwa(onto: Ontology, base: Instance, queries, extension: Instance) -> bool
     return True
 
 
-def in_fix(onto, base: Instance, queries, extension: Instance, base_answers) -> bool:
+def in_fix(onto, base: Instance, queries, extension: Instance, fixed_answers) -> bool:
     """Extension of base, model of onto, query answers frozen to what the
-    theory alone entails (supplied in base_answers)."""
+    theory alone entails over the empty base (supplied in fixed_answers)."""
     if not base.atoms <= extension.atoms:
         return False
     if not is_model(extension, onto):
         return False
     for q in queries:
-        if q not in base_answers:
+        if q not in fixed_answers:
             raise ValueError("missing base answers for fixed query %s" % (q,))
-        if evaluate_query(extension, q) != base_answers[q]:
+        if evaluate_query(extension, q) != fixed_answers[q]:
             return False
     return True
 
 
 def theory_answers(onto: Ontology, q, fresh_bound: int = 1) -> AnswerSet:
     """ans over the empty database, computed on the bounded model stream."""
-    answers, _ = certain_answers_bounded(onto, EMPTY, q, fresh_bound)
-    return answers
+    return certain_answers_bounded(onto, EMPTY, q, fresh_bound)
 
 
 def intended_models_bounded(
@@ -98,20 +98,14 @@ def intended_models_bounded(
     config: FocusingConfiguration,
     base: Instance,
     fresh_bound: int = 1,
-    base_answers: Optional[dict] = None,
 ) -> Iterator[Instance]:
     """Bounded stream of intended models: CWA- and FIX-members among the
     bounded model extensions of the base instance."""
-    if base_answers is None:
-        base_answers = {q: theory_answers(onto, q, fresh_bound) for q in config.fixed}
-    preds = set()
-    for q in itertools.chain(config.closed, config.fixed, config.determined):
-        preds |= set(q.predicates()) if isinstance(q, CQ) else set()
-    for j in enumerate_extensions(
-        onto, base, fresh_bound, extra_predicates=sorted(preds)
-    ):
+    fixed_answers = {q: theory_answers(onto, q, fresh_bound) for q in config.fixed}
+    queries = [*config.closed, *config.fixed, *config.determined]
+    for j in enumerate_extensions(onto, base, fresh_bound, queries=queries):
         if in_cwa(onto, base, config.closed, j) and in_fix(
-            onto, base, config.fixed, j, base_answers
+            onto, base, config.fixed, j, fixed_answers
         ):
             yield j
 
@@ -175,7 +169,6 @@ def closed_extension_exists(
     onto: Ontology,
     base: Instance,
     closed_concepts: Iterable[str],
-    type_ceiling: int = DEFAULT_TYPE_CEILING,
 ) -> bool:
     """Is there a model J of onto with base ⊆ J and A^J = A^base for
     every closed concept A?
@@ -197,7 +190,7 @@ def closed_extension_exists(
     pinned = sorted(onto.constants() - base.adom())
     domain = sorted(base.adom()) + pinned
 
-    if 2 ** len(concepts) > type_ceiling:
+    if 2 ** len(concepts) > UNARY_TYPE_CEILING:
         raise ResourceCeilingError("type space exceeds ceiling")
 
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
@@ -432,21 +425,15 @@ def nullability(
                 "closed role queries are undecidable here; reduce them first"
             )
     closed = [cq_.atoms[0].pred for cq_ in closed_queries]
-    sigma = sorted(set(sigma))
-    role_names = onto.role_names()
-    sigma_concepts = [p for p in sigma if p not in role_names]
-    sigma_roles = [p for p in sigma if p in role_names]
+    sigma_concepts, sigma_roles = split_signature(
+        onto, sigma, queries=[*closed_queries, q]
+    )
     suppressed = onto.with_axioms([query_suppression_axiom(q)])
 
     bound = exact_instance_bound(onto)
     for inst in enumerate_instances(
-        sigma_concepts,
-        sigma_roles,
-        sorted(onto.constants()),
-        max_fresh=instance_bound,
+        sigma_concepts, sigma_roles, sorted(onto.constants()), instance_bound
     ):
-        if len(inst.adom()) > instance_bound:
-            continue
         if not closed_extension_exists(onto, inst, closed):
             continue  # no intended extension at all: vacuously fine
         if closed_extension_exists(suppressed, inst, closed):

@@ -58,8 +58,9 @@ from .syntax import (
 ADOM_MARKER = "_adom"
 FRESH_MARKER = "_outside"
 
-DEFAULT_SET_CEILING = 10 ** 4
-DEFAULT_TYPE_CEILING = 4000
+SET_CEILING = 10 ** 4  # base restrictions per database, and coherent-family search steps
+NTYPE_CEILING = 4000  # n-types per database restriction
+ORACLE_FRESH_BOUND = 2  # fresh constants for realizing type links and confirming counter-models
 NODE_PREFIX = "_n"
 
 
@@ -142,7 +143,7 @@ def _type_locally_consistent(t: FrozenSet[str], inclusions) -> bool:
     return True
 
 
-def build_type_links(onto: Ontology, fresh_bound: int = 2) -> TypeLinkTable:
+def build_type_links(onto: Ontology) -> TypeLinkTable:
     """Bounded-oracle realizability for unary types and role links."""
     if any(isinstance(a, Functional) for a in onto.axioms):
         raise DialectError("the entailment fragment excludes functionality")
@@ -164,9 +165,7 @@ def build_type_links(onto: Ontology, fresh_bound: int = 2) -> TypeLinkTable:
             continue
         witness = None
         seed = realize_instance(t, "_w1")
-        for j in enumerate_extensions(
-            onto, seed, fresh_bound, extra_predicates=concepts
-        ):
+        for j in enumerate_extensions(onto, seed, ORACLE_FRESH_BOUND):
             if j.concept_memberships("_w1") & set(concepts) == set(t):
                 witness = j
                 break
@@ -190,9 +189,8 @@ def build_type_links(onto: Ontology, fresh_bound: int = 2) -> TypeLinkTable:
                 pair = ("_w1", "_w2") if not r.inverted else ("_w2", "_w1")
                 seed = seed.with_atoms([(r.name, pair)])
                 found = None
-                for j in enumerate_extensions(
-                    onto, seed, max(0, fresh_bound - 2), extra_predicates=concepts
-                ):
+                # the two seed elements count against the bound
+                for j in enumerate_extensions(onto, seed, max(0, ORACLE_FRESH_BOUND - 2)):
                     if (
                         j.concept_memberships("_w1") & set(concepts) == set(src)
                         and j.concept_memberships("_w2") & set(concepts) == set(dst)
@@ -247,9 +245,7 @@ class NType:
         return out
 
 
-def _base_candidates(
-    onto: Ontology, base: Instance, extra_concepts, ceiling
-) -> Iterator[Instance]:
+def _base_candidates(onto: Ontology, base: Instance, extra_concepts) -> Iterator[Instance]:
     """Supersets of the database over its own constants that could be
     restrictions of models: concept inclusions hold pointwise and value
     restrictions hold across the internal edges."""
@@ -259,7 +255,7 @@ def _base_candidates(
     pool = [
         a for a in candidate_atoms(concepts, roles, dom) if a not in base.atoms
     ]
-    if 2 ** len(pool) > ceiling:
+    if 2 ** len(pool) > SET_CEILING:
         raise ResourceCeilingError("base restriction space exceeds ceiling")
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
     for size in range(len(pool) + 1):
@@ -299,8 +295,6 @@ def enumerate_ntypes(
     base_restriction: Instance,
     adom0: FrozenSet[str],
     links: TypeLinkTable,
-    n: int = 1,
-    ceiling: int = DEFAULT_TYPE_CEILING,
 ) -> List[NType]:
     """All depth-1 witness trees over a fixed database restriction.
 
@@ -309,8 +303,6 @@ def enumerate_ntypes(
     database constants, and the root may take labelled in-edges from
     database constants.
     """
-    if n != 1:
-        raise ResourceCeilingError("tree depth %d exceeds the supported bound" % n)
     clo = role_closure(onto)
     concepts = sorted(onto.concept_names())
     real = links.realizable_map()
@@ -410,7 +402,7 @@ def enumerate_ntypes(
                     )
                     if _ntype_valid(onto, clo, nt, links, concepts):
                         out.append(nt)
-                        if len(out) > ceiling:
+                        if len(out) > NTYPE_CEILING:
                             raise ResourceCeilingError("n-type count exceeds ceiling")
     # drop structural duplicates (same combined atoms)
     seen = set()
@@ -546,7 +538,6 @@ def minimal_coherent_sets(
     onto: Ontology,
     candidates: Sequence[NType],
     adom0,
-    ceiling: int = DEFAULT_SET_CEILING,
 ) -> Tuple[List[tuple], bool]:
     """Subset-minimal coherent families, by breadth-first growth.
 
@@ -577,7 +568,7 @@ def minimal_coherent_sets(
             return [], True  # no coherent family exists for this base
         option_lists.append(opts)
 
-    budget = ceiling
+    budget = SET_CEILING
     seeds: List[frozenset] = []
     for combo in itertools.product(*option_lists) if option_lists else [()]:
         seeds.append(frozenset(combo))
@@ -654,10 +645,6 @@ def entails_under_closed_queries(
     base: Instance,
     closed_queries: Sequence[CQ],
     q: CQ,
-    n_override: Optional[int] = None,
-    set_ceiling: int = DEFAULT_SET_CEILING,
-    type_ceiling: int = DEFAULT_TYPE_CEILING,
-    confirm_fresh_bound: int = 2,
 ) -> EntailmentVerdict:
     """Is the Boolean query q true in every CWA-member extension of base?"""
     if not onto.is_normalized():
@@ -666,7 +653,7 @@ def entails_under_closed_queries(
         raise DialectError("the entailment fragment excludes functionality")
     if q.arity != 0:
         raise ValueError("the entailment query must be Boolean")
-    n = n_override or max(
+    n = max(
         [1]
         + [len(cq_.variables()) for cq_ in closed_queries]
         + [len(q.variables())]
@@ -689,16 +676,12 @@ def entails_under_closed_queries(
             raise ResourceCeilingError("tree depth %d exceeds the supported bound" % n)
         complete = True
         for restriction in _base_candidates(
-            onto, base, _query_concepts(closed_queries, q), set_ceiling
+            onto, base, _query_concepts(closed_queries, q)
         ):
-            ntypes = enumerate_ntypes(
-                onto, restriction, adom0, links, 1, type_ceiling
-            )
+            ntypes = enumerate_ntypes(onto, restriction, adom0, links)
             # the base alone is a family member candidate when it needs
             # no witnesses: represent it as the empty-tree singleton
-            families, fam_complete = minimal_coherent_sets(
-                onto, ntypes, adom0, set_ceiling
-            )
+            families, fam_complete = minimal_coherent_sets(onto, ntypes, adom0)
             if not fam_complete:
                 complete = False
             base_only = _base_only_family(onto, restriction, adom0)
@@ -712,9 +695,7 @@ def entails_under_closed_queries(
                 answers = evaluate_with_markers(union, target, adom0)
                 if answers.holds():
                     continue
-                confirmed = _confirm_counter_model(
-                    onto, base, closed_queries, q, union, confirm_fresh_bound
-                )
+                confirmed = _confirm_counter_model(onto, base, closed_queries, q, union)
                 if confirmed is not None:
                     return EntailmentVerdict("not_entailed", fam, confirmed)
                 complete = False
@@ -755,17 +736,13 @@ def _base_only_family(onto, restriction: Instance, adom0):
     return ()
 
 
-def _confirm_counter_model(onto, base, closed_queries, q, union, fresh_bound):
+def _confirm_counter_model(onto, base, closed_queries, q, union):
     """Ask the oracle for a CWA-member extension of the candidate union
     that avoids q; exact confirmation of a NotEntailed verdict."""
     from .closedworld import in_cwa
 
-    preds = set()
-    for cq_ in list(closed_queries) + [q]:
-        preds |= set(cq_.predicates())
-    for j in enumerate_extensions(
-        onto, union, fresh_bound, extra_predicates=sorted(preds)
-    ):
+    queries = [*closed_queries, q]
+    for j in enumerate_extensions(onto, union, ORACLE_FRESH_BOUND, queries=queries):
         if in_cwa(onto, base, closed_queries, j) and not evaluate_query(j, q).holds():
             return j
     return None

@@ -14,9 +14,8 @@ independently checkable witness, or unknown-at-bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .closedworld import (
     closed_extension_exists,
@@ -27,7 +26,6 @@ from .closedworld import (
 )
 from .entailment import entails_under_closed_queries, EntailmentVerdict
 from .errors import DialectError, ScopeError
-from .ineq import DEFAULT_VALUE_CAP
 from .mosaic import mixed_sat, MixedSatVerdict
 from .oracle import (
     AnswerSet,
@@ -37,6 +35,7 @@ from .oracle import (
     enumerate_instances,
     enumeration_is_exhaustive,
     evaluate_query,
+    split_signature,
 )
 from .syntax import (
     And,
@@ -77,29 +76,38 @@ ALWAYS_FALSE = CQ((), (QueryAtom("_false", (Var("x"),)),))
 
 @dataclass(frozen=True)
 class Bounds:
-    """Search bounds shared by the bounded procedures."""
+    """The search budget of the bounded procedures.
+
+    fresh_bound: fresh constants the model oracle may add to an instance
+    when it enumerates model extensions (intended models, theory answers
+    of fixed queries).
+    instance_bound: the most constants a legal instance may have in the
+    searches over legal instances (determinacy, nullability, and the
+    emptiness fallback).
+
+    Every other limit is a module constant read at call time:
+    `mosaic.TILE_CEILING`, `ineq.DEFAULT_VALUE_CAP`, `ineq._NODE_BUDGET`,
+    `closedworld.UNARY_TYPE_CEILING`, `closedworld._CANDIDATE_CEILING`,
+    `entailment.SET_CEILING`, `entailment.NTYPE_CEILING`,
+    `entailment.ORACLE_FRESH_BOUND` and `horn.FACT_CEILING`.
+    """
 
     fresh_bound: int = DEFAULT_FRESH_BOUND
     instance_bound: int = DEFAULT_INSTANCE_BOUND
-    value_cap: int = DEFAULT_VALUE_CAP
-    ceiling: int = 10 ** 4
 
 
 def is_legal(instance: Instance, config: FocusingConfiguration) -> bool:
     return instance.predicates() <= config.schema
 
 
-def _schema_split(onto: Ontology, config: FocusingConfiguration):
-    """Schema predicates split into concepts and roles; a predicate used
-    with two arguments anywhere is a role."""
-    roles = set(onto.role_names())
-    for q in itertools.chain(config.closed, config.fixed, config.determined):
-        for a in q.atoms:
-            if len(a.args) == 2:
-                roles.add(a.pred)
-    schema_roles = sorted(p for p in config.schema if p in roles)
-    schema_concepts = sorted(p for p in config.schema if p not in roles)
-    return schema_concepts, schema_roles
+def _legal_instances(onto: Ontology, config: FocusingConfiguration, bounds: Bounds):
+    """Legal instances with at most bounds.instance_bound constants."""
+    concepts, roles = split_signature(
+        onto, config.schema, queries=[*config.closed, *config.fixed, *config.determined]
+    )
+    return enumerate_instances(
+        concepts, roles, sorted(onto.constants()), bounds.instance_bound
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +149,15 @@ def _nominal_or(constants: Sequence[str]) -> Optional[Concept]:
 def eliminate_fixed_queries(
     onto: Ontology,
     config: FocusingConfiguration,
-    base_answers: Optional[Dict] = None,
     fresh_bound: int = DEFAULT_FRESH_BOUND,
 ) -> FixedElimination:
     """Compile the fixed queries into one fresh concept with empty theory
     answers: per query, a fresh name captures exactly its new answers,
     and a collector names their union.
 
-    Base answers (what the theory alone entails) must be exact: they are
-    computed on the bounded model stream and accepted only when that
-    enumeration is provably exhaustive, else they must be supplied.
+    The theory answers (what the theory alone entails) must be exact:
+    they are computed on the bounded model stream, so the elimination
+    applies only when that enumeration is provably exhaustive.
     """
     if not config.fixed:
         return FixedElimination(onto, config)
@@ -158,22 +165,13 @@ def eliminate_fixed_queries(
         if not is_atomic_query(q):
             raise ScopeError("fixed queries must be atomic")
     onto = normalize(onto)
-    if base_answers is None:
-        if not enumeration_is_exhaustive(onto, onto.constants()):
-            raise ScopeError(
-                "theory answers for fixed queries are not certified exact; "
-                "supply base_answers explicitly"
-            )
-        base_answers = {
-            q: theory_answers(onto, q, fresh_bound) for q in config.fixed
-        }
+    if not enumeration_is_exhaustive(onto, onto.constants()):
+        raise ScopeError("theory answers for fixed queries are not certified exact")
     fresh = FreshNames(onto.concept_names())
     general: List[GeneralInclusion] = []
     per_query: List[str] = []
     for q in sorted(config.fixed, key=str):
-        if q not in base_answers:
-            raise ScopeError("missing base answers for fixed query %s" % (q,))
-        answers = sorted(base_answers[q].tuples)
+        answers = sorted(theory_answers(onto, q, fresh_bound).tuples)
         a_q = named(fresh.mint())
         per_query.append(a_q.name)
         atom = q.atoms[0]
@@ -319,26 +317,19 @@ def check_determinacy(
     if config.fixed:
         elim = eliminate_fixed_queries(onto, config, fresh_bound=bounds.fresh_bound)
         onto, config = elim.discharged()
-    concepts, roles = _schema_split(onto, config)
-    for inst in enumerate_instances(
-        concepts, roles, sorted(onto.constants()), max_fresh=bounds.instance_bound
-    ):
-        if len(inst.adom()) > bounds.instance_bound:
-            continue
-        models = []
+    for inst in _legal_instances(onto, config, bounds):
+        # every disagreement among the models is one with the first model
+        first, first_answers = None, []
         for j in intended_models_bounded(onto, config, inst, bounds.fresh_bound):
-            models.append(j)
-            if len(models) > bounds.ceiling:
-                break
-        for q in config.determined:
-            answer_sets = {}
-            for j in models:
-                answer_sets.setdefault(evaluate_query(j, q).tuples, j)
-                if len(answer_sets) > 1:
-                    (t1, j1), (t2, j2) = list(answer_sets.items())[:2]
-                    diff = tuple(sorted(t1 ^ t2))[0]
+            if first is None:
+                first = j
+                first_answers = [evaluate_query(j, q).tuples for q in config.determined]
+                continue
+            for q, t1 in zip(config.determined, first_answers):
+                t2 = evaluate_query(j, q).tuples
+                if t1 != t2:
                     return DeterminacyVerdict(
-                        "refuted", certified=True, witness=(inst, j1, j2, q, diff)
+                        "refuted", certified=True, witness=(inst, first, j, q, min(t1 ^ t2))
                     )
     certified = _certified_exhaustive(onto, bounds, config.determined)
     return DeterminacyVerdict("holds", certified=certified)
@@ -432,16 +423,11 @@ def check_emptiness(
     in_scope = not config.fixed and all(is_atomic_query(q) for q in config.closed)
     if in_scope:
         sigma = sorted({q.atoms[0].pred for q in config.closed})
-        verdict = mixed_sat(onto, sigma, value_cap=bounds.value_cap)
+        verdict = mixed_sat(onto, sigma)
         kind = {"sat": "nonempty", "unsat": "empty", "unknown": "unknown"}[verdict.kind]
         return EmptinessVerdict(kind, mixed=verdict)
     # bounded fallback: look for one consistent legal instance
-    concepts, roles = _schema_split(onto, config)
-    for inst in enumerate_instances(
-        concepts, roles, sorted(onto.constants()), max_fresh=bounds.instance_bound
-    ):
-        if len(inst.adom()) > bounds.instance_bound:
-            continue
+    for inst in _legal_instances(onto, config, bounds):
         try:
             for _ in intended_models_bounded(onto, config, inst, bounds.fresh_bound):
                 return EmptinessVerdict(
@@ -522,10 +508,4 @@ def check_entailment(
     if config.fixed:
         elim = eliminate_fixed_queries(onto, config, fresh_bound=bounds.fresh_bound)
         onto, config = elim.discharged()
-    return entails_under_closed_queries(
-        onto,
-        base,
-        list(config.closed),
-        q,
-        set_ceiling=bounds.ceiling,
-    )
+    return entails_under_closed_queries(onto, base, list(config.closed), q)

@@ -49,7 +49,7 @@ TOPC: Conj = frozenset()
 
 HORN_DIALECTS = (Dialect.HornALCIF, Dialect.DLLiteHF, Dialect.ELIbot)
 
-DEFAULT_FACT_CEILING = 200000
+FACT_CEILING = 200000
 
 
 def conj(*names: str) -> Conj:
@@ -111,10 +111,9 @@ class SigmaCycle:
 class Saturation:
     """The consequence store for one ontology (plus reversal facts)."""
 
-    def __init__(self, onto: Ontology, ceiling: int = DEFAULT_FACT_CEILING):
+    def __init__(self, onto: Ontology):
         _check_horn(onto)
         self.onto = onto
-        self.ceiling = ceiling
         self.clo = role_closure(onto)
         self.atoms: Dict[Conj, Set[str]] = {}  # derived named atoms per conjunction
         self.bots: Set[Conj] = set()
@@ -215,7 +214,7 @@ class Saturation:
         changed = True
         while changed:
             changed = False
-            if self._fact_count() > self.ceiling:
+            if self._fact_count() > FACT_CEILING:
                 raise ResourceCeilingError("saturation exceeded fact ceiling")
 
             for k in list(self.atoms):

@@ -29,7 +29,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .errors import DialectError, ResourceCeilingError
 from .ineq import (
     ALEPH0,
-    DEFAULT_VALUE_CAP,
     EnrichedIneqSystem,
     ExtNat,
     Implication,
@@ -62,7 +61,7 @@ from .syntax import (
     role_closure,
 )
 
-DEFAULT_TILE_CEILING = 2 ** 20
+TILE_CEILING = 2 ** 20  # unary types, tiles and lite tiles per ontology
 DEFAULT_PREFIX = 8
 
 UnaryType = FrozenSet[SimpleConcept]
@@ -147,14 +146,14 @@ def _in_type(b: SimpleConcept, t: UnaryType) -> bool:
     return b in t
 
 
-def enumerate_types(onto: Ontology, ceiling: int = DEFAULT_TILE_CEILING) -> List[UnaryType]:
+def enumerate_types(onto: Ontology) -> List[UnaryType]:
     """All unary types: subsets of the ontology's simple concepts with Top,
     without Bot, with at most one nominal, respecting concept inclusions."""
     simples = sorted(
         (b for b in onto.simple_concepts() if b not in (TOP, BOT)),
         key=lambda b: (b.kind, b.name),
     )
-    if 2 ** len(simples) > ceiling:
+    if 2 ** len(simples) > TILE_CEILING:
         raise ResourceCeilingError("type space exceeds ceiling")
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
     out = []
@@ -236,17 +235,15 @@ def _set_partitions(items: list):
         yield [[first]] + part
 
 
-def enumerate_tiles(
-    onto: Ontology, ceiling: int = DEFAULT_TILE_CEILING
-) -> List[Tile]:
+def enumerate_tiles(onto: Ontology) -> List[Tile]:
     """All canonical tiles: witness-group edges plus functional backlinks.
 
-    Raises ResourceCeilingError past the configured ceiling.
+    Raises ResourceCeilingError past TILE_CEILING.
     """
     if not onto.is_normalized():
         raise DialectError("tile enumeration requires a normalized ontology")
     clo = role_closure(onto)
-    types = enumerate_types(onto, ceiling)
+    types = enumerate_types(onto)
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
     func_count = sum(1 for a in onto.axioms if isinstance(a, Functional))
 
@@ -318,7 +315,7 @@ def enumerate_tiles(
                     if tile not in seen_tiles:
                         seen_tiles.add(tile)
                         tiles.append(tile)
-                        if len(tiles) > ceiling:
+                        if len(tiles) > TILE_CEILING:
                             raise ResourceCeilingError("tile count exceeds ceiling")
     tiles.sort(key=Tile.sort_key)
     return tiles
@@ -353,7 +350,6 @@ def build_mosaic_system(
     onto: Ontology,
     sigma: Iterable[str],
     tiles: Optional[Sequence[Tile]] = None,
-    ceiling: int = DEFAULT_TILE_CEILING,
 ) -> Tuple[EnrichedIneqSystem, Dict]:
     """Encode mosaic existence as an enriched inequation system.
 
@@ -365,7 +361,7 @@ def build_mosaic_system(
     if sigma & role_names - onto.concept_names():
         raise ValueError("sigma contains role names; eliminate them first")
     if tiles is None:
-        tiles = enumerate_tiles(onto, ceiling)
+        tiles = enumerate_tiles(onto)
     var_of = _tile_vars(tiles)
     by_root: Dict[UnaryType, List[Tile]] = {}
     for tile in tiles:
@@ -485,8 +481,6 @@ class MixedSatVerdict:
 def mixed_sat(
     onto: Ontology,
     sigma: Iterable[str],
-    value_cap: int = DEFAULT_VALUE_CAP,
-    ceiling: int = DEFAULT_TILE_CEILING,
     method: str = "auto",
 ) -> MixedSatVerdict:
     """Is there a model of onto in which every sigma predicate is finite?
@@ -506,12 +500,12 @@ def mixed_sat(
         )
     onto2, sigma2 = eliminate_closed_roles(onto, sigma)
     if method == "lite":
-        tiles = enumerate_lite_tiles(onto2, ceiling)
+        tiles = enumerate_lite_tiles(onto2)
         system, var_of = build_lite_mosaic_system(onto2, sigma2, tiles)
     else:
-        tiles = enumerate_tiles(onto2, ceiling)
+        tiles = enumerate_tiles(onto2)
         system, var_of = build_mosaic_system(onto2, sigma2, tiles)
-    result = solve_enriched(system, value_cap)
+    result = solve_enriched(system)
     if isinstance(result, NoSolution):
         return MixedSatVerdict("unsat")
     if isinstance(result, UnknownAtCap):
@@ -538,11 +532,11 @@ def _is_r_sink(onto: Ontology, t: UnaryType, r: Role, clo) -> bool:
     return True
 
 
-def enumerate_lite_tiles(onto: Ontology, ceiling: int = DEFAULT_TILE_CEILING) -> List[LiteTile]:
+def enumerate_lite_tiles(onto: Ontology) -> List[LiteTile]:
     if classify_dialect(onto) not in (Dialect.DLLiteBoolHOF, Dialect.DLLiteHF):
         raise DialectError("lite tiles require a DL-Lite ontology")
     clo = role_closure(onto)
-    types = enumerate_types(onto, ceiling)
+    types = enumerate_types(onto)
     roles = sorted(onto.roles_with_inverses())
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
     tiles: Set[LiteTile] = set()
@@ -557,7 +551,7 @@ def enumerate_lite_tiles(onto: Ontology, ceiling: int = DEFAULT_TILE_CEILING) ->
                 # the root must be an r-sink for every inverse in R
                 if all(_is_r_sink(onto, t, r.inverse(), clo) for r in rset):
                     tiles.add(LiteTile(t, rset))
-                if len(tiles) > ceiling:
+                if len(tiles) > TILE_CEILING:
                     raise ResourceCeilingError("lite tile count exceeds ceiling")
     return sorted(tiles, key=LiteTile.sort_key)
 

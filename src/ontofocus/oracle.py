@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BOT,
@@ -364,18 +364,20 @@ def candidate_atoms(
     return out
 
 
-def _signature_of(onto: Ontology, inst: Instance, extra_predicates=()):
-    concepts = set(onto.concept_names())
-    roles = set(onto.role_names())
-    for p, args in inst.atoms:
-        (concepts if len(args) == 1 else roles).add(p)
-    for p in extra_predicates:
-        # callers flag role predicates with a trailing slash-2 marker; plain
-        # names default to whichever side they already occur on, else concept
-        if p in roles or p in concepts:
-            continue
-        concepts.add(p)
-    return concepts, roles
+def split_signature(
+    onto: Ontology, names: Iterable[str], inst: Instance = EMPTY, queries=()
+) -> Tuple[List[str], List[str]]:
+    """Split predicate names into sorted concepts and sorted roles.
+
+    A name is a role if the ontology uses it as a role, or an instance
+    or query atom gives it two arguments; every other name is a concept.
+    """
+    roles = set(onto.role_names()) | inst.predicates_binary()
+    for q in queries:
+        for d in as_cqs(q):
+            roles.update(a.pred for a in d.atoms if len(a.args) == 2)
+    names = set(names)
+    return sorted(names - roles), sorted(names & roles)
 
 
 def _fresh_canonical(atom_list: List[Atom], chosen: Tuple[bool, ...], fresh: List[str]) -> bool:
@@ -402,26 +404,26 @@ def _fresh_canonical(atom_list: List[Atom], chosen: Tuple[bool, ...], fresh: Lis
 
 
 def enumerate_extensions(
-    onto: Ontology,
-    inst: Instance,
-    fresh_bound: int = 0,
-    filter_fn: Optional[Callable[[Instance], bool]] = None,
-    extra_predicates: Iterable[str] = (),
-    extra_roles: Iterable[str] = (),
-    extra_constants: Iterable[str] = (),
+    onto: Ontology, inst: Instance, fresh_bound: int = 0, queries=()
 ) -> Iterator[Instance]:
     """Yield every model J of onto with inst ⊆ J over the bounded domain.
 
-    The domain is adom(inst) plus nominal constants plus `fresh_bound`
-    reserved fresh constants; atoms range over the signature of the
-    ontology and instance plus any extra predicates.  Enumeration order
-    is deterministic (increasing size, then lexicographic); extensions
-    are generated up to canonical first-use renaming of fresh constants.
+    The domain is adom(inst) plus the constants of the ontology and of
+    the queries plus `fresh_bound` reserved fresh constants; atoms range
+    over the predicates of the ontology, the instance and the queries,
+    typed by `split_signature`.  Enumeration order is deterministic
+    (increasing size, then lexicographic); extensions are generated up
+    to canonical first-use renaming of fresh constants.
     """
-    concepts, roles = _signature_of(onto, inst, extra_predicates)
-    roles = roles | set(extra_roles)
+    names = onto.concept_names() | onto.role_names() | inst.predicates()
+    constants = inst.adom() | onto.constants()
+    for q in queries:
+        for d in as_cqs(q):
+            names |= d.predicates()
+            constants |= d.constants()
+    concepts, roles = split_signature(onto, names, inst, queries)
     fresh = [fresh_constant(i + 1) for i in range(fresh_bound)]
-    domain = sorted(inst.adom() | onto.constants() | set(extra_constants)) + fresh
+    domain = sorted(constants) + fresh
     pool = [a for a in candidate_atoms(concepts, roles, domain) if a not in inst.atoms]
     base = inst.atoms
     for size in range(len(pool) + 1):
@@ -430,21 +432,19 @@ def enumerate_extensions(
             if fresh and not _fresh_canonical(pool, chosen, fresh):
                 continue
             cand = Instance(base | frozenset(pool[i] for i in combo), inst.name)
-            if not is_model(cand, onto):
-                continue
-            if filter_fn is not None and not filter_fn(cand):
-                continue
-            yield cand
+            if is_model(cand, onto):
+                yield cand
 
 
 def enumerate_instances(
     concepts: Iterable[str],
     roles: Iterable[str],
     fixed_constants: Iterable[str] = (),
-    max_fresh: int = 2,
+    max_constants: int = 2,
 ) -> Iterator[Instance]:
-    """All instances over the given predicates whose constants come from
-    the fixed ones plus a canonical fresh pool, up to isomorphism of the
+    """All instances over the given predicates with at most
+    `max_constants` constants in their active domain, taken from the
+    fixed ones plus a canonical fresh pool, up to isomorphism of the
     fresh constants.  Deterministic order.
 
     Role-free signatures enumerate directly as multisets of concept
@@ -469,7 +469,8 @@ def enumerate_instances(
                 ]
             )
         for fixed_choice in itertools.product(*fixed_options) if fixed else [()]:
-            for k in range(max_fresh + 1):
+            used = sum(1 for t in fixed_choice if t)
+            for k in range(max_constants - used + 1):
                 for multiset in itertools.combinations_with_replacement(types, k):
                     atoms = set()
                     for c, t in zip(fixed, fixed_choice):
@@ -479,45 +480,34 @@ def enumerate_instances(
                         atoms.update((a, (const,)) for a in t)
                     yield Instance(frozenset(atoms))
         return
-    fresh = [fresh_constant(i + 1) for i in range(max_fresh)]
+    fresh = [fresh_constant(i + 1) for i in range(max_constants)]
     pool = candidate_atoms(concepts, roles, fixed + fresh)
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(range(len(pool)), size):
             chosen = tuple(i in combo for i in range(len(pool)))
             if fresh and not _fresh_canonical(pool, chosen, fresh):
                 continue
-            yield Instance(frozenset(pool[i] for i in combo))
+            inst = Instance(frozenset(pool[i] for i in combo))
+            if len(inst.adom()) <= max_constants:
+                yield inst
 
 
 def certain_answers_bounded(
-    onto: Ontology,
-    inst: Instance,
-    q,
-    fresh_bound: int = 1,
-    extra_predicates: Iterable[str] = (),
-) -> Tuple[AnswerSet, str]:
+    onto: Ontology, inst: Instance, q, fresh_bound: int = 1
+) -> AnswerSet:
     """Intersect query answers over all bounded model extensions.
 
-    The flag is always "bounded": tuples absent from some enumerated
-    model are certainly not certain; tuples present in all of them are
-    only bounded-certain.  An empty model stream yields the empty set.
+    Tuples absent from some enumerated model are certainly not certain;
+    tuples present in all of them are only bounded-certain.  An empty
+    model stream yields the empty set.
     """
-    preds = set(extra_predicates)
-    for d in as_cqs(q):
-        preds |= set(d.predicates())
-    consts = set()
-    for d in as_cqs(q):
-        consts |= set(d.constants())
     answers: Optional[FrozenSet[Tuple[str, ...]]] = None
-    arity = as_cqs(q)[0].arity
-    for j in enumerate_extensions(
-        onto, inst, fresh_bound, extra_predicates=preds, extra_constants=consts
-    ):
+    for j in enumerate_extensions(onto, inst, fresh_bound, queries=(q,)):
         got = evaluate_query(j, q).tuples
         answers = got if answers is None else (answers & got)
         if not answers:
             break
-    return AnswerSet(arity, answers or frozenset()), "bounded"
+    return AnswerSet(as_cqs(q)[0].arity, answers or frozenset())
 
 
 def enumeration_is_exhaustive(onto: Ontology, domain: Iterable[str]) -> bool:

@@ -159,7 +159,7 @@ def test_closed_extension_agrees_with_oracle():
             )
 
         oracle_found = next(
-            enumerate_extensions(onto, base, 1, filter_fn=closed_filter), None
+            filter(closed_filter, enumerate_extensions(onto, base, 1)), None
         )
         if oracle_found is not None:
             assert exact, "oracle found %s but exact says no for %s" % (
@@ -284,7 +284,9 @@ def test_role_closure_reduction_preserves_nullability_end_to_end():
         for inst in _tiny_instances(rng):
             models = [
                 j
-                for j in enumerate_extensions(onto, inst, 1, extra_predicates=["A", "B"], extra_roles=["r"])
+                for j in enumerate_extensions(
+                    onto, inst, 1, queries=[instance_query("A"), instance_query("B"), role_query("r")]
+                )
                 if j.role_pairs(role("r")) == inst.role_pairs(role("r"))
             ]
             if models and all(evaluate_query(j, q).tuples for j in models):

@@ -92,7 +92,7 @@ def test_bad_match_equals_cwa_membership_on_oracle_stream():
         if rng.random() < 0.5:
             closed.append(CQ((x,), (QueryAtom("A", (x,)), QueryAtom("r", (x, y)))))
         q_hat = build_bad_match_ucq(closed, base)
-        for j in enumerate_extensions(onto, base, 1, extra_predicates=["A", "B"]):
+        for j in enumerate_extensions(onto, base, 1, queries=[instance_query("A"), instance_query("B")]):
             lhs = in_cwa(onto, base, closed, j)
             rhs = not evaluate_with_markers(j, q_hat, base.adom()).holds()
             assert lhs == rhs, "mismatch on %s" % (j,)
@@ -139,7 +139,7 @@ def ForallAxiomFactory():
 
 def test_ntypes_trivial_ontology():
     links = build_type_links(Ontology.of())
-    types = enumerate_ntypes(Ontology.of(), EMPTY, frozenset(), links, 1)
+    types = enumerate_ntypes(Ontology.of(), EMPTY, frozenset(), links)
     assert len(types) == 1
     (nt,) = types
     assert nt.tree_atoms == frozenset()  # lone root with the empty type
@@ -148,7 +148,7 @@ def test_ntypes_trivial_ontology():
 def test_ntypes_witnessed_existential():
     onto = Ontology.of([ExistsAxiom(A, role("r"), B)])
     links = build_type_links(onto)
-    types = enumerate_ntypes(onto, EMPTY, frozenset(), links, 1)
+    types = enumerate_ntypes(onto, EMPTY, frozenset(), links)
     rooted_a = [
         nt for nt in types if ("A", (nt.root,)) in nt.tree_atoms
     ]
@@ -166,7 +166,7 @@ def test_ntypes_respect_role_inclusions():
 
     onto = Ontology.of([ExistsAxiom(A, role("r"), B), RoleInclusion(role("r"), role("s"))])
     links = build_type_links(onto)
-    for nt in enumerate_ntypes(onto, EMPTY, frozenset(), links, 1):
+    for nt in enumerate_ntypes(onto, EMPTY, frozenset(), links):
         combined = nt.combined()
         assert combined.role_pairs(role("r")) <= combined.role_pairs(role("s"))
 
@@ -175,8 +175,8 @@ def test_coherence_shared_base_required():
     links = build_type_links(Ontology.of())
     b1 = Instance.of(("A", "c"))
     b2 = Instance.of(("B", "c"))
-    (t1,) = enumerate_ntypes(Ontology.of(), b1, b1.adom(), links, 1)[:1]
-    (t2,) = enumerate_ntypes(Ontology.of(), b2, b2.adom(), links, 1)[:1]
+    (t1,) = enumerate_ntypes(Ontology.of(), b1, b1.adom(), links)[:1]
+    (t2,) = enumerate_ntypes(Ontology.of(), b2, b2.adom(), links)[:1]
     assert not check_coherence(Ontology.of(), [t1, t2], {"c"})
 
 
@@ -184,7 +184,7 @@ def test_minimal_coherent_sets_cover_obligations():
     onto = Ontology.of([ExistsAxiom(A, role("r"), B)])
     base = Instance.of(("A", "c"))
     links = build_type_links(onto)
-    ntypes = enumerate_ntypes(onto, base, base.adom(), links, 1)
+    ntypes = enumerate_ntypes(onto, base, base.adom(), links)
     families, complete = minimal_coherent_sets(onto, ntypes, base.adom())
     assert complete and families
     for fam in families:
@@ -261,7 +261,7 @@ def test_oracle_agreement_exhaustive_fragment():
         members = [
             j
             for j in enumerate_extensions(
-                onto, base, 1, extra_predicates=["A", "B", "C"]
+                onto, base, 1, queries=[instance_query(p) for p in "ABC"]
             )
             if in_cwa(onto, base, closed, j)
         ]

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from ontofocus import entailment, mosaic
 from ontofocus.closedworld import intended_models_bounded
 from ontofocus.entailment import entails_under_closed_queries
-from ontofocus.errors import ScopeError
+from ontofocus.errors import ResourceCeilingError, ScopeError
 from ontofocus.focusing import (
     ALWAYS_FALSE,
     Bounds,
@@ -18,7 +19,7 @@ from ontofocus.focusing import (
     is_legal,
 )
 from ontofocus.mosaic import mixed_sat
-from ontofocus.oracle import EMPTY, Instance, evaluate_query
+from ontofocus.oracle import EMPTY, Instance, evaluate_query, is_model
 from ontofocus.parser import parse_document
 from ontofocus.syntax import (
     BOT,
@@ -34,6 +35,7 @@ from ontofocus.syntax import (
     nominal,
     normalize,
     role,
+    role_query,
 )
 
 A, B, C = named("A"), named("B"), named("C")
@@ -182,6 +184,26 @@ def test_determinacy_uncertified_holds_has_unknown_tier():
     assert v.tier == "unknown"
 
 
+def test_determinacy_types_query_only_predicates_by_arity():
+    # s occurs only in the determined query, with two arguments: the oracle
+    # must build s-edges, and two intended models then disagree on them
+    onto = Ontology.of()
+    cfg = FocusingConfiguration.of(
+        schema={"A"}, closed=[instance_query("A")], determined=[role_query("s")]
+    )
+    bounds = Bounds(fresh_bound=2, instance_bound=2)
+    v = check_determinacy(onto, cfg, bounds)
+    assert v.kind == "refuted"
+    inst, j1, j2, q, tup = v.witness
+    for j in (j1, j2):
+        assert inst.atoms <= j.atoms
+        assert is_model(j, onto)
+        assert evaluate_query(j, cfg.closed[0]) == evaluate_query(inst, cfg.closed[0])
+    assert q == cfg.determined[0]
+    assert tup in evaluate_query(j1, q).tuples ^ evaluate_query(j2, q).tuples
+    assert check_focus(onto, cfg, bounds).kind == "not_solution"
+
+
 # ---------------------------------------------------------------------------
 # focus
 # ---------------------------------------------------------------------------
@@ -262,6 +284,15 @@ def test_emptiness_equals_negated_mixed_sat():
         ms = mixed_sat(onto, sigma)
         expected = {"sat": "nonempty", "unsat": "empty", "unknown": "unknown"}[ms.kind]
         assert emptiness.kind == expected
+
+
+def test_emptiness_tile_ceiling_raises(monkeypatch):
+    onto = Ontology.of([ConceptInclusion((nominal("c"),), (A,))])
+    cfg = FocusingConfiguration.of(schema={"A"}, closed=[instance_query("A")])
+    assert check_emptiness(onto, cfg).kind == "nonempty"
+    monkeypatch.setattr(mosaic, "TILE_CEILING", 1)
+    with pytest.raises(ResourceCeilingError):
+        check_emptiness(onto, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +384,15 @@ def test_entailment_disaster_with_fixed():
     q2 = CQ((), (QueryAtom("Drought", (x,)),))
     v2 = check_entailment(DISASTER, DISASTER_CONFIG, base, q2)
     assert v2.kind == "not_entailed"
+
+
+def test_entailment_set_ceiling_gives_unknown(monkeypatch):
+    onto = Ontology.of([ConceptInclusion((A,), (B, C))])
+    cfg = FocusingConfiguration.of(schema={"A"}, closed=[instance_query("B")])
+    base = Instance.of(("A", "c"))
+    q = CQ((), (QueryAtom("C", (x,)),))
+    assert check_entailment(onto, cfg, base, q).kind == "entailed"
+    monkeypatch.setattr(entailment, "SET_CEILING", 1)
+    v = check_entailment(onto, cfg, base, q)
+    assert v.kind == "unknown"
+    assert v.note == "base restriction space exceeds ceiling"

@@ -29,9 +29,11 @@ from ontofocus.syntax import (
     TOP,
     Var,
     inv,
+    instance_query,
     named,
     nominal,
     role,
+    role_query,
 )
 
 from genutil import random_normal_ontology
@@ -151,7 +153,7 @@ def test_enumerate_extensions_matches_powerset_oracle():
         got = {
             m.atoms
             for m in enumerate_extensions(
-                onto, i, 0, extra_predicates=["A"], extra_roles=["r"]
+                onto, i, 0, queries=[instance_query("A"), role_query("r")]
             )
         }
         pool = [a for a in candidate_atoms(["A"], ["r"], ["c"]) if a not in i.atoms]
@@ -178,8 +180,7 @@ def test_certain_answers_trivial():
     onto = Ontology.of()
     i = Instance.of(("A", "c"))
     q = CQ((x,), (QueryAtom("A", (x,)),))
-    answers, flag = certain_answers_bounded(onto, i, q, 1)
-    assert flag == "bounded"
+    answers = certain_answers_bounded(onto, i, q, 1)
     assert answers.tuples == frozenset({("c",)})
 
 
@@ -193,7 +194,7 @@ def test_certain_answers_disaster_empty_base():
         ]
     )
     q = CQ((x,), (QueryAtom("Drought", (x,)),))
-    answers, _ = certain_answers_bounded(onto, EMPTY, q, 1)
+    answers = certain_answers_bounded(onto, EMPTY, q, 1)
     assert answers.tuples == frozenset()
     assert enumeration_is_exhaustive(onto, [])
 
@@ -201,7 +202,7 @@ def test_certain_answers_disaster_empty_base():
 def test_certain_answers_nominal_forces_membership():
     onto = Ontology.of([ConceptInclusion((nominal("c"),), (A,))])
     q = CQ((x,), (QueryAtom("A", (x,)),))
-    answers, _ = certain_answers_bounded(onto, EMPTY, q, 1)
+    answers = certain_answers_bounded(onto, EMPTY, q, 1)
     assert ("c",) in answers.tuples
 
 
@@ -209,8 +210,8 @@ def test_certain_answers_antitone_in_fresh_bound():
     onto = Ontology.of([ConceptInclusion((A,), (B, C))])
     i = Instance.of(("A", "c"))
     q = CQ((x,), (QueryAtom("B", (x,)),))
-    a0, _ = certain_answers_bounded(onto, i, q, 0)
-    a1, _ = certain_answers_bounded(onto, i, q, 1)
+    a0 = certain_answers_bounded(onto, i, q, 0)
+    a1 = certain_answers_bounded(onto, i, q, 1)
     assert a1.tuples <= a0.tuples
 
 
