@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from .errors import DialectError, ResourceCeilingError
 from .oracle import (
     AnswerSet,
     EMPTY,
     Instance,
-    candidate_atoms,
     certain_answers_bounded,
     enumerate_extensions,
     enumerate_instances,
@@ -45,7 +44,7 @@ from .syntax import (
     SimpleConcept,
     TOP,
     Var,
-    closure_of,
+    instance_query,
     is_atomic_query,
     is_instance_query,
     named,
@@ -508,8 +507,6 @@ def lite_role_closure_reduction(
     new_closed = [
         cq_ for cq_ in closed_queries if cq_.atoms[0].is_concept_atom()
     ]
-    from .syntax import instance_query
-
     for p in closed_roles:
         new_closed.append(instance_query(concept_of[p].name))
     sigma = set(sigma)

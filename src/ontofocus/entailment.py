@@ -24,19 +24,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .closedworld import in_cwa
 from .errors import DialectError, ResourceCeilingError
 from .oracle import (
-    EMPTY,
     Instance,
     candidate_atoms,
     enumerate_extensions,
     evaluate_query,
-    is_model,
+    simple_extension,
 )
 from .syntax import (
-    BOT,
     CQ,
     ConceptInclusion,
     ExistsAxiom,
@@ -48,10 +47,7 @@ from .syntax import (
     RoleInclusion,
     TOP,
     UCQ,
-    Var,
-    as_cqs,
     closure_of,
-    named,
     role_closure,
 )
 
@@ -60,7 +56,7 @@ FRESH_MARKER = "_outside"
 
 SET_CEILING = 10 ** 4  # base restrictions per database, and coherent-family search steps
 NTYPE_CEILING = 4000  # n-types per database restriction
-ORACLE_FRESH_BOUND = 2  # fresh constants for realizing type links and confirming counter-models
+ORACLE_FRESH_BOUND = 2  # fresh constants the oracle adds when confirming a counter-model
 NODE_PREFIX = "_n"
 
 
@@ -105,29 +101,8 @@ def build_bad_match_ucq(closed_queries: Sequence[CQ], base: Instance) -> UCQ:
 
 
 # ---------------------------------------------------------------------------
-# Unary types and the link table
+# Unary types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TypeLinkTable:
-    """Realizability of unary types and of single role edges between
-    them; entries are True, False, or None when the bounded search was
-    inconclusive."""
-
-    realizable: tuple  # ((type, True|False|None), ...)
-    links: tuple  # (((src, role, dst), True|False|None), ...)
-
-    def realizable_map(self) -> Dict:
-        return dict(self.realizable)
-
-    def links_map(self) -> Dict:
-        return dict(self.links)
-
-    def has_unknowns(self) -> bool:
-        return any(v is None for _, v in self.realizable) or any(
-            v is None for _, v in self.links
-        )
 
 
 def _type_locally_consistent(t: FrozenSet[str], inclusions) -> bool:
@@ -143,62 +118,27 @@ def _type_locally_consistent(t: FrozenSet[str], inclusions) -> bool:
     return True
 
 
-def build_type_links(onto: Ontology) -> TypeLinkTable:
-    """Bounded-oracle realizability for unary types and role links."""
+def build_type_links(onto: Ontology) -> FrozenSet[FrozenSet[str]]:
+    """The unary types (sets of concept names) that a fresh element can
+    carry: those satisfying every concept inclusion pointwise.
+
+    A nominal on the right of an inclusion counts as false, since a fresh
+    element is no database constant; the constants' own types are checked,
+    nominals included, by `_base_candidates`.  Value restrictions and role
+    inclusions are checked on whole n-types by `_ntype_valid`, and
+    counter-models are confirmed by the oracle, so no model search runs
+    here.
+    """
     if any(isinstance(a, Functional) for a in onto.axioms):
         raise DialectError("the entailment fragment excludes functionality")
     concepts = sorted(onto.concept_names())
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
-    types = [
-        frozenset(chosen)
+    return frozenset(
+        t
         for k in range(len(concepts) + 1)
-        for chosen in itertools.combinations(concepts, k)
-    ]
-
-    def realize_instance(t, const):
-        return Instance(frozenset((a, (const,)) for a in sorted(t)))
-
-    realizable = []
-    for t in types:
-        if not _type_locally_consistent(t, inclusions):
-            realizable.append((t, False))
-            continue
-        witness = None
-        seed = realize_instance(t, "_w1")
-        for j in enumerate_extensions(onto, seed, ORACLE_FRESH_BOUND):
-            if j.concept_memberships("_w1") & set(concepts) == set(t):
-                witness = j
-                break
-        realizable.append((t, True if witness is not None else None))
-
-    real_map = dict(realizable)
-    roles = sorted(
-        {Role(n, False) for n in onto.role_names()}
-        | {Role(n, True) for n in onto.role_names()}
+        for t in map(frozenset, itertools.combinations(concepts, k))
+        if _type_locally_consistent(t, inclusions)
     )
-    links = []
-    for src in types:
-        for r in roles:
-            for dst in types:
-                if real_map.get(src) is False or real_map.get(dst) is False:
-                    links.append(((src, r, dst), False))
-                    continue
-                seed = realize_instance(src, "_w1").union(
-                    realize_instance(dst, "_w2")
-                )
-                pair = ("_w1", "_w2") if not r.inverted else ("_w2", "_w1")
-                seed = seed.with_atoms([(r.name, pair)])
-                found = None
-                # the two seed elements count against the bound
-                for j in enumerate_extensions(onto, seed, max(0, ORACLE_FRESH_BOUND - 2)):
-                    if (
-                        j.concept_memberships("_w1") & set(concepts) == set(src)
-                        and j.concept_memberships("_w2") & set(concepts) == set(dst)
-                    ):
-                        found = j
-                        break
-                links.append(((src, r, dst), True if found is not None else None))
-    return TypeLinkTable(tuple(realizable), tuple(links))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +206,6 @@ def _base_candidates(onto: Ontology, base: Instance, extra_concepts) -> Iterator
 
 
 def _restriction_valid(onto, inclusions, j0: Instance) -> bool:
-    from .oracle import simple_extension
-
     for a in inclusions:
         lhs = None
         for b in a.lhs:
@@ -294,35 +232,30 @@ def enumerate_ntypes(
     onto: Ontology,
     base_restriction: Instance,
     adom0: FrozenSet[str],
-    links: TypeLinkTable,
+    types: FrozenSet[FrozenSet[str]],
 ) -> List[NType]:
     """All depth-1 witness trees over a fixed database restriction.
 
     Depth-one trees carry the whole desk-scale entailment workload: the
     root is existentially saturated, children are typed fresh leaves or
     database constants, and the root may take labelled in-edges from
-    database constants.
+    database constants.  Fresh nodes carry a type from `types` (see
+    `build_type_links`); database constants keep their types in the
+    restriction.
     """
     clo = role_closure(onto)
-    concepts = sorted(onto.concept_names())
-    real = links.realizable_map()
-    link = links.links_map()
+    ordered_types = sorted(types, key=sorted)
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
     roles = sorted(
         {Role(nm, False) for nm in onto.role_names()}
         | {Role(nm, True) for nm in onto.role_names()}
     )
 
-    def type_of_const(c):
-        return base_restriction.concept_memberships(c) & frozenset(concepts)
-
-    def link_ok(src_t, r, dst_t):
-        return link.get((src_t, r, dst_t), True) is not False
-
+    # optional in-edges from database constants into the root
+    in_edge_pool = [(c, r) for c in sorted(adom0) for r in roles]
     root = NODE_PREFIX + "1"
     out: List[NType] = []
-    root_types = [t for t, v in real.items() if v is not False]
-    for root_t in sorted(root_types, key=sorted):
+    for root_t in ordered_types:
         obligations = [
             a
             for a in exists_axioms
@@ -332,23 +265,21 @@ def enumerate_ntypes(
         ok_root = True
         for a in obligations:
             opts = []
-            # a fresh child leaf of a realizable type
-            for t2, v in sorted(real.items(), key=lambda kv: sorted(kv[0])):
-                if v is False:
-                    continue
+            # a fresh child leaf of a consistent type
+            for t2 in ordered_types:
                 filler_ok = (
                     a.filler == TOP
                     or (a.filler.kind == "named" and a.filler.name in t2)
                 )
-                if filler_ok and link_ok(root_t, a.role, t2):
+                if filler_ok:
                     opts.append(("fresh", a.role, t2))
             # a database constant as the witness leaf
             for c in sorted(adom0):
                 filler_ok = (
                     a.filler == TOP
-                    or (a.filler.kind == "named" and a.filler.name in type_of_const(c))
+                    or (a.filler.kind == "named" and (a.filler.name, (c,)) in base_restriction.atoms)
                 )
-                if filler_ok and link_ok(root_t, a.role, type_of_const(c)):
+                if filler_ok:
                     opts.append(("const", a.role, c))
             if not opts:
                 ok_root = False
@@ -357,13 +288,6 @@ def enumerate_ntypes(
         if not ok_root:
             continue
 
-        # optional in-edges from database constants into the root
-        in_edge_pool = [
-            (c, r)
-            for c in sorted(adom0)
-            for r in roles
-            if link_ok(type_of_const(c), r, root_t)
-        ]
         for combo in itertools.product(*witness_options) if witness_options else [()]:
             for k in range(len(in_edge_pool) + 1):
                 for in_edges in itertools.combinations(in_edge_pool, k):
@@ -400,7 +324,7 @@ def enumerate_ntypes(
                         tuple(nodes),
                         frozenset(atoms),
                     )
-                    if _ntype_valid(onto, clo, nt, links, concepts):
+                    if _ntype_valid(onto, nt):
                         out.append(nt)
                         if len(out) > NTYPE_CEILING:
                             raise ResourceCeilingError("n-type count exceeds ceiling")
@@ -415,14 +339,9 @@ def enumerate_ntypes(
     return unique
 
 
-def _ntype_valid(onto, clo, nt: NType, links: TypeLinkTable, concepts) -> bool:
-    """Edge-wise realizability, value restrictions, and role closure over
-    the combined fragment."""
+def _ntype_valid(onto, nt: NType) -> bool:
+    """Value restrictions and role closure over the combined fragment."""
     combined = nt.combined()
-    link = links.links_map()
-
-    def tp(c):
-        return combined.concept_memberships(c) & frozenset(concepts)
 
     for a in onto.axioms:
         if isinstance(a, ForallAxiom):
@@ -442,20 +361,6 @@ def _ntype_valid(onto, clo, nt: NType, links: TypeLinkTable, concepts) -> bool:
         elif isinstance(a, RoleInclusion):
             if not combined.role_pairs(a.sub) <= combined.role_pairs(a.sup):
                 return False
-    base_adom = nt.base.adom()
-    for p, args in nt.tree_atoms:
-        if len(args) != 2:
-            continue
-        x, y = args
-        entry = link.get((tp(x), Role(p, False), tp(y)))
-        if entry is False:
-            return False
-    # pointwise inclusions at the fresh nodes
-    inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
-    for node in nt.nodes:
-        t = tp(node)
-        if not _type_locally_consistent(t, inclusions):
-            return False
     return True
 
 
@@ -472,22 +377,11 @@ def check_coherence(onto: Ontology, members: Sequence[NType], adom0) -> bool:
     base = members[0].base
     if any(m.base != base for m in members):
         return False
-    concepts = sorted(onto.concept_names())
-    exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
 
     # database constants get their witnesses from the base or from roots
-    for c in sorted(adom0):
-        ct = base.concept_memberships(c)
-        for a in exists_axioms:
-            lhs_holds = a.lhs == TOP or (
-                a.lhs.kind == "named" and a.lhs.name in ct
-            ) or (a.lhs.kind == "nominal" and a.lhs.name == c)
-            if not lhs_holds:
-                continue
-            if _fulfilled_in(base, c, a):
-                continue
-            if not any(_root_witnesses(m, c, a) for m in members):
-                return False
+    for c, a in _open_obligations(onto, base, adom0):
+        if not any(_root_witnesses(m, c, a) for m in members):
+            return False
 
     # every root successor pattern is matched by some member's root
     for m in members:
@@ -497,6 +391,20 @@ def check_coherence(onto: Ontology, members: Sequence[NType], adom0) -> bool:
             if not any(_boundary_match(m, d, m2) for m2 in members):
                 return False
     return True
+
+
+def _open_obligations(onto: Ontology, inst: Instance, adom0) -> Iterator[Tuple[str, ExistsAxiom]]:
+    """The existential axioms whose left side holds at a database constant
+    of inst but which inst does not fulfil there, as (constant, axiom)."""
+    exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
+    for c in sorted(adom0):
+        ct = inst.concept_memberships(c)
+        for a in exists_axioms:
+            lhs_holds = a.lhs == TOP or (
+                a.lhs.kind == "named" and a.lhs.name in ct
+            ) or (a.lhs.kind == "nominal" and a.lhs.name == c)
+            if lhs_holds and not _fulfilled_in(inst, c, a):
+                yield c, a
 
 
 def _fulfilled_in(inst: Instance, c: str, axiom: ExistsAxiom) -> bool:
@@ -545,22 +453,12 @@ def minimal_coherent_sets(
     truncated the search.
     """
     base = candidates[0].base if candidates else None
-    exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
     found: List[tuple] = []
     complete = True
     seen: Set[frozenset] = set()
     # seeds: cover each database obligation with one member; the empty
     # family seeds the no-obligation case
-    obligations = []
-    if base is not None:
-        for c in sorted(adom0):
-            ct = base.concept_memberships(c)
-            for a in exists_axioms:
-                lhs_holds = a.lhs == TOP or (
-                    a.lhs.kind == "named" and a.lhs.name in ct
-                ) or (a.lhs.kind == "nominal" and a.lhs.name == c)
-                if lhs_holds and not _fulfilled_in(base, c, a):
-                    obligations.append((c, a))
+    obligations = [] if base is None else list(_open_obligations(onto, base, adom0))
     option_lists = []
     for (c, a) in obligations:
         opts = [m for m in candidates if _root_witnesses(m, c, a)]
@@ -668,8 +566,7 @@ def entails_under_closed_queries(
     q_hat = build_bad_match_ucq(closed_queries, base)
     target = UCQ(q_hat.disjuncts + (q,))
 
-    links = build_type_links(onto)
-    uncertain = links.has_unknowns()
+    types = build_type_links(onto)
 
     try:
         if n != 1:
@@ -678,15 +575,14 @@ def entails_under_closed_queries(
         for restriction in _base_candidates(
             onto, base, _query_concepts(closed_queries, q)
         ):
-            ntypes = enumerate_ntypes(onto, restriction, adom0, links)
-            # the base alone is a family member candidate when it needs
-            # no witnesses: represent it as the empty-tree singleton
+            ntypes = enumerate_ntypes(onto, restriction, adom0, types)
             families, fam_complete = minimal_coherent_sets(onto, ntypes, adom0)
             if not fam_complete:
                 complete = False
-            base_only = _base_only_family(onto, restriction, adom0)
-            if base_only is not None:
-                families = [base_only] + families
+            # the family with no trees at all, valid when the restriction
+            # fulfils every database obligation itself
+            if next(_open_obligations(onto, restriction, adom0), None) is None:
+                families = [()] + families
             for fam in families:
                 union = restriction if fam == () else Instance(
                     frozenset().union(*(m.combined().atoms for m in fam))
@@ -701,14 +597,8 @@ def entails_under_closed_queries(
                 complete = False
     except ResourceCeilingError as exc:
         return EntailmentVerdict("unknown", note=str(exc))
-    if complete and not uncertain:
+    if complete:
         return EntailmentVerdict("entailed")
-    if complete and uncertain:
-        return EntailmentVerdict(
-            "entailed",
-            note="type-link table had inconclusive entries; candidate families "
-            "subsume the realizable ones",
-        )
     return EntailmentVerdict("unknown", note="search truncated at a ceiling")
 
 
@@ -721,26 +611,9 @@ def _query_concepts(closed_queries, q):
     return sorted(out)
 
 
-def _base_only_family(onto, restriction: Instance, adom0):
-    """The family with no trees at all, valid when every database
-    obligation is fulfilled inside the restriction."""
-    exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
-    for c in sorted(adom0):
-        ct = restriction.concept_memberships(c)
-        for a in exists_axioms:
-            lhs_holds = a.lhs == TOP or (
-                a.lhs.kind == "named" and a.lhs.name in ct
-            ) or (a.lhs.kind == "nominal" and a.lhs.name == c)
-            if lhs_holds and not _fulfilled_in(restriction, c, a):
-                return None
-    return ()
-
-
 def _confirm_counter_model(onto, base, closed_queries, q, union):
     """Ask the oracle for a CWA-member extension of the candidate union
     that avoids q; exact confirmation of a NotEntailed verdict."""
-    from .closedworld import in_cwa
-
     queries = [*closed_queries, q]
     for j in enumerate_extensions(onto, union, ORACLE_FRESH_BOUND, queries=queries):
         if in_cwa(onto, base, closed_queries, j) and not evaluate_query(j, q).holds():

@@ -14,7 +14,7 @@ independently checkable witness, or unknown-at-bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .closedworld import (
@@ -28,10 +28,7 @@ from .entailment import entails_under_closed_queries, EntailmentVerdict
 from .errors import DialectError, ScopeError
 from .mosaic import mixed_sat, MixedSatVerdict
 from .oracle import (
-    AnswerSet,
-    EMPTY,
     Instance,
-    certain_answers_bounded,
     enumerate_instances,
     enumeration_is_exhaustive,
     evaluate_query,
@@ -58,7 +55,6 @@ from .syntax import (
     Role,
     RoleInclusion,
     TOP,
-    UCQ,
     Var,
     instance_query,
     is_atomic_query,

@@ -28,13 +28,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .errors import DialectError, ResourceCeilingError
 from .ineq import (
-    ALEPH0,
     EnrichedIneqSystem,
     ExtNat,
     Implication,
     LinearInequation,
     NoSolution,
-    Solution,
     UnknownAtCap,
     ZERO,
     ext_sum,
@@ -53,7 +51,6 @@ from .syntax import (
     Functional,
     Ontology,
     Role,
-    RoleInclusion,
     SimpleConcept,
     classify_dialect,
     closure_of,

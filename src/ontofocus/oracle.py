@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .syntax import (
-    BOT,
-    TOP,
     And,
     Atomic,
     CQ,
@@ -27,7 +25,6 @@ from .syntax import (
     Forall,
     ForallAxiom,
     Functional,
-    GeneralInclusion,
     Not,
     Ontology,
     Or,
@@ -35,8 +32,8 @@ from .syntax import (
     Role,
     RoleInclusion,
     SimpleConcept,
-    UCQ,
     Var,
+    _concept_simples,
     as_cqs,
 )
 
@@ -198,8 +195,6 @@ def generic_member(c: Concept) -> bool:
 
 
 def _concept_constants(c: Concept) -> FrozenSet[str]:
-    from .syntax import _concept_simples
-
     return frozenset(b.name for b in _concept_simples(c) if b.kind == "nominal")
 
 

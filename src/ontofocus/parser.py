@@ -33,12 +33,13 @@ are reserved for generated vocabulary and rejected in input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
+from .oracle import Instance
 from .syntax import (
     BOT,
     TOP,
+    And,
     Atomic,
     CQ,
     ConceptInclusion,
@@ -57,13 +58,12 @@ from .syntax import (
     SimpleConcept,
     UCQ,
     Var,
-    is_valid_identifier,
     named,
     nominal,
     RESERVED_PREFIX,
 )
 
-Block = Union[Ontology, "Instance", CQ, UCQ, FocusingConfiguration]
+Block = Union[Ontology, Instance, CQ, UCQ, FocusingConfiguration]
 
 
 class ParseError(ValueError):
@@ -71,13 +71,6 @@ class ParseError(ValueError):
         super().__init__("line %d, column %d: %s" % (line, column, message))
         self.line = line
         self.column = column
-
-
-# The Instance type lives in oracle.py; imported late to avoid a cycle.
-def _instance_type():
-    from .oracle import Instance
-
-    return Instance
 
 
 def _strip_comment(text: str) -> str:
@@ -136,8 +129,6 @@ def _side_to_concept(parts: List[Tuple[SimpleConcept, bool]], joiner) -> Concept
 
 
 def _parse_axiom_line(line_text: str, lineno: int, axioms: set, general: set):
-    from .syntax import And
-
     text = line_text.strip()
     if text.startswith("sub "):
         body = text[4:]
@@ -277,7 +268,6 @@ def _parse_config_entry(text: str, lineno: int, queries: dict):
 
 def parse_document(text: str) -> List[Block]:
     """Parse a full document; returns blocks in document order."""
-    Instance = _instance_type()
     lines = text.split("\n")
     blocks: List[Block] = []
     names = set()
@@ -408,8 +398,6 @@ def serialize_ontology(onto: Ontology) -> str:
 def _serialize_general(g: GeneralInclusion) -> str:
     # only the shapes the parser can produce need to round-trip
     def side(c, sep):
-        from .syntax import And, Or, Atomic, Not
-
         parts = c.parts if isinstance(c, (And, Or)) else (c,)
         toks = []
         for p in parts:
@@ -440,8 +428,6 @@ def serialize_query(q) -> str:
 
 
 def serialize(block) -> str:
-    from .oracle import Instance
-
     if isinstance(block, Ontology):
         return serialize_ontology(block)
     if isinstance(block, Instance):

@@ -253,9 +253,12 @@ def test_role_closure_introduces_origin_concepts():
     # the finiteness signature picks up the origin concepts of r
     assert names <= out.sigma
     # each origin concept has its collector and successor axioms
-    text = {str(a) for a in out.ontology.axioms}
+    origin = dict(out.concept_for_role)
     for p, name in out.concept_for_role:
-        assert any(("all Top -> %s" % p) in s and name not in ("",) for s in text) or True
+        back = named(origin[p.inverse()])
+        assert ExistsAxiom(named(name), p, TOP) in out.ontology.axioms
+        assert ForallAxiom(TOP, p, back) in out.ontology.axioms
+        assert ExistsAxiom(named(name), p, back) in out.ontology.axioms
     assert len(out.ontology.axioms) >= len(onto.axioms) + 4
 
 

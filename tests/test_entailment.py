@@ -20,6 +20,7 @@ from ontofocus.syntax import (
     CQ,
     ConceptInclusion,
     ExistsAxiom,
+    ForallAxiom,
     Ontology,
     QueryAtom,
     TOP,
@@ -28,6 +29,8 @@ from ontofocus.syntax import (
     inv,
     instance_query,
     named,
+    nominal,
+    normalize,
     role,
 )
 
@@ -104,32 +107,27 @@ def test_bad_match_equals_cwa_membership_on_oracle_stream():
 
 
 def test_type_links_unconstrained():
-    links = build_type_links(Ontology.of())
-    assert all(v is True for _, v in links.realizable)
-    assert all(v is True for _, v in links.links)
+    # no concept inclusions: every set of concept names is a type
+    types = build_type_links(Ontology.of([ExistsAxiom(A, role("r"), B)]))
+    assert types == {frozenset(), frozenset("A"), frozenset("B"), frozenset("AB")}
 
 
 def test_type_links_respect_bottom():
     onto = Ontology.of([ConceptInclusion((A,), (BOT,))])
-    links = build_type_links(onto)
-    for t, v in links.realizable:
-        if "A" in t:
-            assert v is False
+    types = build_type_links(onto)
+    assert types == {frozenset()}  # no type contains A
 
 
 def test_type_links_value_restriction():
-    # edges into non-B targets are impossible when r-targets must be B
-    onto = Ontology.of([ForallAxiomFactory()])
-    links = build_type_links(onto)
-    for (src, r, dst), v in links.links:
-        if r == role("r") and "B" not in dst:
-            assert v is not True
-
-
-def ForallAxiomFactory():
-    from ontofocus.syntax import ForallAxiom
-
-    return ForallAxiom(TOP, role("r"), B)
+    # the type set admits edges into non-B types; the n-type check makes
+    # every r-successor carry B
+    onto = Ontology.of([ExistsAxiom(A, role("r"), TOP), ForallAxiom(TOP, role("r"), B)])
+    edges = 0
+    for nt in enumerate_ntypes(onto, EMPTY, frozenset(), build_type_links(onto)):
+        for _, y in nt.combined().role_pairs(role("r")):
+            edges += 1
+            assert ("B", (y,)) in nt.tree_atoms
+    assert edges
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +210,18 @@ def test_not_entailed_with_counterexample():
     assert not evaluate_query(v.counter_model, boolean([QueryAtom("B", (x,))])).holds()
 
 
+def test_database_constant_with_nominal_type_sends_edges():
+    # A ⊑ {c} rules type {A} out for fresh nodes only: c itself may still
+    # send an s-edge to a fresh root, which avoids s(x,x)
+    onto = Ontology.of([ConceptInclusion((A,), (nominal("c"),)), ExistsAxiom(A, role("s"), TOP)])
+    base = Instance.of(("A", "c"))
+    q = boolean([QueryAtom("s", (x, x))])
+    v = entails_under_closed_queries(onto, base, [], q)
+    assert v.kind == "not_entailed"
+    assert in_cwa(onto, base, [], v.counter_model)
+    assert not evaluate_query(v.counter_model, q).holds()
+
+
 def test_closing_a_disjunct_forces_the_other():
     onto = Ontology.of([ConceptInclusion((A,), (B, C))])
     base = Instance.of(("A", "c"))
@@ -270,3 +280,37 @@ def test_oracle_agreement_exhaustive_fragment():
             assert oracle, str(onto)
         elif verdict.kind == "not_entailed":
             assert not oracle, str(onto)
+
+
+def test_oracle_agreement_with_roles_and_existentials():
+    # role edges and existentials reach the n-type enumeration and its
+    # value-restriction checks; the bounded oracle must not contradict a
+    # decided verdict
+    checked = {"entailed": 0, "not_entailed": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        onto = normalize(
+            random_normal_ontology(rng, 3, concepts=["A", "B"], roles=["r"], allow_func=False)
+        )
+        if rng.random() < 0.5:
+            base = Instance.of(("A", "c"))
+        else:
+            base = Instance.of(("A", "c"), ("r", "c", "d"))
+        closed = [instance_query("B")] if rng.random() < 0.5 else []
+        if rng.random() < 0.5:
+            q = boolean([QueryAtom("B", (x,))])
+        else:
+            q = boolean([QueryAtom("r", (x, y)), QueryAtom("B", (y,))])
+        verdict = entails_under_closed_queries(onto, base, closed, q)
+        if verdict.kind == "entailed":
+            queries = [instance_query("A"), instance_query("B"), q]
+            for j in enumerate_extensions(onto, base, 1, queries=queries):
+                if in_cwa(onto, base, closed, j):
+                    assert evaluate_query(j, q).holds(), "seed %d: %s" % (seed, j)
+        elif verdict.kind == "not_entailed":
+            j = verdict.counter_model
+            assert in_cwa(onto, base, closed, j), "seed %d" % seed
+            assert not evaluate_query(j, q).holds(), "seed %d" % seed
+        if verdict.kind in checked:
+            checked[verdict.kind] += 1
+    assert all(checked.values()), checked

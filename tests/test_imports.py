@@ -1,0 +1,53 @@
+"""Import hygiene of the package modules, checked on their syntax trees.
+
+A top-level import that the module never reads hides the real
+dependencies between the layers, and a package import inside a function
+hides them from anyone reading the module's head.  No linter ships with
+the project, so these tests walk the source with `ast`.
+"""
+
+import ast
+import glob
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ontofocus")
+MODULES = sorted(
+    p for p in glob.glob(os.path.join(PACKAGE, "*.py")) if os.path.basename(p) != "__init__.py"
+)
+
+
+def _tree(path):
+    with open(path) as f:
+        return ast.parse(f.read(), path)
+
+
+def _bound_names(node):
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_every_top_level_import_is_read(path):
+    tree = _tree(path)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported.update(_bound_names(node))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not imported - read, "imported but never read: %s" % sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_package_import_inside_a_function(path):
+    lines = {
+        node.lineno
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert not lines, "function-local package imports at lines %s" % sorted(lines)
