@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from .errors import DialectError, ResourceCeilingError
 from .oracle import (
     AnswerSet,
     EMPTY,
     Instance,
+    _consistent_types,
+    _element_mem,
+    _pointwise_ok,
     certain_answers_bounded,
     enumerate_extensions,
     enumerate_instances,
@@ -51,7 +54,6 @@ from .syntax import (
     role_closure,
 )
 
-DEFAULT_INSTANCE_BOUND = 3
 UNARY_TYPE_CEILING = 2 ** 12  # unary types over the concepts of a closed extension
 
 
@@ -114,32 +116,6 @@ def intended_models_bounded(
 # ---------------------------------------------------------------------------
 
 
-def _type_mem(t: FrozenSet[str]):
-    """Membership function of an anonymous element with the given type."""
-
-    def mem(b: SimpleConcept) -> bool:
-        if b.kind == "top":
-            return True
-        if b.kind == "bot" or b.kind == "nominal":
-            return False
-        return b.name in t
-
-    return mem
-
-
-def _element_mem(c: str, t: FrozenSet[str], active: bool):
-    def mem(b: SimpleConcept) -> bool:
-        if b.kind == "top":
-            return active
-        if b.kind == "bot":
-            return False
-        if b.kind == "nominal":
-            return b.name == c
-        return b.name in t
-
-    return mem
-
-
 def _link_ok(onto, clo, src_mem, r: Role, dst_mem) -> bool:
     """Can an edge carrying r and its super-roles connect the two sides
     without violating a value restriction?"""
@@ -150,13 +126,6 @@ def _link_ok(onto, clo, src_mem, r: Role, dst_mem) -> bool:
         if a.role in edge_roles and src_mem(a.lhs) and not dst_mem(a.filler):
             return False
         if a.role.inverse() in edge_roles and dst_mem(a.lhs) and not src_mem(a.filler):
-            return False
-    return True
-
-
-def _pointwise_ok(mem, inclusions) -> bool:
-    for a in inclusions:
-        if all(mem(b) for b in a.lhs) and not any(mem(b) for b in a.rhs):
             return False
     return True
 
@@ -195,14 +164,10 @@ def closed_extension_exists(
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
 
-    # anonymous element types: no closed concepts, no nominal identity
+    # anonymous elements, by the membership function of their type: no
+    # closed concepts, no nominal identity
     open_concepts = [c for c in concepts if c not in closed]
-    anon_types = [
-        frozenset(chosen)
-        for k in range(len(open_concepts) + 1)
-        for chosen in itertools.combinations(open_concepts, k)
-        if _pointwise_ok(_type_mem(frozenset(chosen)), inclusions)
-    ]
+    anon_mems = [_element_mem(None, t, True) for t in _consistent_types(open_concepts, inclusions)]
 
     # per-constant options: (type, active); database constants are active
     # and keep their closed memberships exactly
@@ -249,40 +214,27 @@ def closed_extension_exists(
         }
         actives = {c for c, (_, act) in zip(domain, assignment) if act}
         if _candidate_works(
-            onto, clo, base, domain, mems, actives, anon_types, exists_axioms
+            onto, clo, base, domain, mems, actives, anon_mems, exists_axioms
         ):
             return True
     return False
 
 
 def _candidate_works(
-    onto, clo, base, domain, mems, actives, anon_types, exists_axioms
+    onto, clo, base, domain, mems, actives, anon_mems, exists_axioms
 ) -> bool:
     roles_all = sorted(
         {Role(n, False) for n in onto.role_names() | base.predicates_binary()}
         | {Role(n, True) for n in onto.role_names() | base.predicates_binary()}
     )
-    foralls = [a for a in onto.sorted_axioms() if isinstance(a, ForallAxiom)]
 
-    def atom_ok(r: Role, x: str, y: str) -> bool:
-        for a in foralls:
-            if a.role == r and mems[x](a.lhs) and not mems[y](a.filler):
-                return False
-            if a.role == r.inverse() and mems[y](a.lhs) and not mems[x](a.filler):
-                return False
-        return True
-
-    def edge_allowed(r: Role, x: str, y: str) -> bool:
-        if x not in actives or y not in actives:
-            return False
-        return all(atom_ok(s, x, y) for s in clo.get(r, frozenset({r})))
-
-    # the base edges must themselves be compatible
+    # the base edges, between active database constants, must themselves
+    # be compatible
     for r in roles_all:
         if r.inverted:
             continue
         for (x, y) in base.role_pairs(r):
-            if not edge_allowed(r, x, y):
+            if not _link_ok(onto, clo, mems[x], r, mems[y]):
                 return False
 
     # maximal compatible edge set, used for fulfilled obligations
@@ -292,7 +244,7 @@ def _candidate_works(
             (x, y)
             for x in sorted(actives)
             for y in sorted(actives)
-            if edge_allowed(r, x, y)
+            if _link_ok(onto, clo, mems[x], r, mems[y])
         }
 
     # an active constant must end up with an atom: a named concept, an
@@ -318,35 +270,25 @@ def _candidate_works(
         if any(mems[c](a.lhs) for a in exists_axioms):
             return False
 
-    # type elimination over the anonymous part
-    survivors = list(anon_types)
+    # type elimination over the anonymous part: an anonymous type stays
+    # while a surviving type or an active constant serves each obligation
+    constant_mems = [mems[d] for d in sorted(actives)]
+    survivors = list(anon_mems)
     changed = True
     while changed:
-        changed = False
-        remaining = []
-        for t in survivors:
-            tm = _type_mem(t)
-            ok = True
-            for a in exists_axioms:
-                if not tm(a.lhs):
-                    continue
-                if any(
-                    _type_mem(t2)(a.filler)
-                    and _link_ok(onto, clo, tm, a.role, _type_mem(t2))
-                    for t2 in survivors
-                ):
-                    continue
-                if any(
-                    mems[d](a.filler) and _link_ok(onto, clo, tm, a.role, mems[d])
-                    for d in sorted(actives)
-                ):
-                    continue
-                ok = False
-                break
-            if ok:
-                remaining.append(t)
-            else:
-                changed = True
+        remaining = [
+            tm
+            for tm in survivors
+            if all(
+                any(
+                    m(a.filler) and _link_ok(onto, clo, tm, a.role, m)
+                    for m in survivors + constant_mems
+                )
+                for a in exists_axioms
+                if tm(a.lhs)
+            )
+        ]
+        changed = len(remaining) < len(survivors)
         survivors = remaining
 
     # every active element's unfulfilled obligations need a witness
@@ -357,9 +299,7 @@ def _candidate_works(
             if any(mems[y](a.filler) for (x, y) in pairs[a.role] if x == c):
                 continue
             if any(
-                _type_mem(t2)(a.filler)
-                and _link_ok(onto, clo, mems[c], a.role, _type_mem(t2))
-                for t2 in survivors
+                m(a.filler) and _link_ok(onto, clo, mems[c], a.role, m) for m in survivors
             ):
                 continue
             return False
@@ -405,7 +345,7 @@ def nullability(
     sigma: Iterable[str],
     closed_queries,
     q: CQ,
-    instance_bound: int = DEFAULT_INSTANCE_BOUND,
+    instance_bound: int,
 ) -> NullabilityVerdict:
     """Do all legal databases admit an intended extension in which q has
     no answers?

@@ -23,13 +23,18 @@ degrades to unknown-at-bound.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .closedworld import in_cwa
 from .errors import DialectError, ResourceCeilingError
 from .oracle import (
     Instance,
+    _axiom_holds,
+    _consistent_types,
+    _element_mem,
+    _witnessed,
     candidate_atoms,
     enumerate_extensions,
     evaluate_query,
@@ -45,7 +50,6 @@ from .syntax import (
     QueryAtom,
     Role,
     RoleInclusion,
-    TOP,
     UCQ,
     closure_of,
     role_closure,
@@ -105,19 +109,6 @@ def build_bad_match_ucq(closed_queries: Sequence[CQ], base: Instance) -> UCQ:
 # ---------------------------------------------------------------------------
 
 
-def _type_locally_consistent(t: FrozenSet[str], inclusions) -> bool:
-    for a in inclusions:
-        lhs_ok = all(
-            (b.kind == "top") or (b.kind == "named" and b.name in t)
-            for b in a.lhs
-        )
-        if not lhs_ok:
-            continue
-        if not any(b.kind == "named" and b.name in t or b.kind == "top" for b in a.rhs):
-            return False
-    return True
-
-
 def build_type_links(onto: Ontology) -> FrozenSet[FrozenSet[str]]:
     """The unary types (sets of concept names) that a fresh element can
     carry: those satisfying every concept inclusion pointwise.
@@ -125,20 +116,14 @@ def build_type_links(onto: Ontology) -> FrozenSet[FrozenSet[str]]:
     A nominal on the right of an inclusion counts as false, since a fresh
     element is no database constant; the constants' own types are checked,
     nominals included, by `_base_candidates`.  Value restrictions and role
-    inclusions are checked on whole n-types by `_ntype_valid`, and
+    inclusions are checked on whole n-types by `enumerate_ntypes`, and
     counter-models are confirmed by the oracle, so no model search runs
     here.
     """
     if any(isinstance(a, Functional) for a in onto.axioms):
         raise DialectError("the entailment fragment excludes functionality")
-    concepts = sorted(onto.concept_names())
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
-    return frozenset(
-        t
-        for k in range(len(concepts) + 1)
-        for t in map(frozenset, itertools.combinations(concepts, k))
-        if _type_locally_consistent(t, inclusions)
-    )
+    return frozenset(_consistent_types(onto.concept_names(), inclusions))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +172,7 @@ class NType:
 
 def _base_candidates(onto: Ontology, base: Instance, extra_concepts) -> Iterator[Instance]:
     """Supersets of the database over its own constants that could be
-    restrictions of models: concept inclusions hold pointwise and value
-    restrictions hold across the internal edges."""
+    restrictions of models: every axiom but the existential ones holds."""
     concepts = sorted(onto.concept_names() | base.predicates_unary() | set(extra_concepts))
     roles = sorted(onto.role_names() | base.predicates_binary())
     dom = sorted(base.adom())
@@ -197,35 +181,12 @@ def _base_candidates(onto: Ontology, base: Instance, extra_concepts) -> Iterator
     ]
     if 2 ** len(pool) > SET_CEILING:
         raise ResourceCeilingError("base restriction space exceeds ceiling")
-    inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
+    checked = [a for a in onto.sorted_axioms() if not isinstance(a, ExistsAxiom)]
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
             j0 = base.with_atoms(combo)
-            if _restriction_valid(onto, inclusions, j0):
+            if all(_axiom_holds(j0, a) for a in checked):
                 yield j0
-
-
-def _restriction_valid(onto, inclusions, j0: Instance) -> bool:
-    for a in inclusions:
-        lhs = None
-        for b in a.lhs:
-            e = simple_extension(j0, b)
-            lhs = e if lhs is None else lhs & e
-        rhs: FrozenSet[str] = frozenset()
-        for b in a.rhs:
-            rhs = rhs | simple_extension(j0, b)
-        if not lhs <= rhs:
-            return False
-    for a in onto.axioms:
-        if isinstance(a, ForallAxiom):
-            filler = simple_extension(j0, a.filler)
-            for (x, y) in j0.role_pairs(a.role):
-                if x in simple_extension(j0, a.lhs) and y not in filler:
-                    return False
-        elif isinstance(a, RoleInclusion):
-            if not j0.role_pairs(a.sub) <= j0.role_pairs(a.sup):
-                return False
-    return True
 
 
 def enumerate_ntypes(
@@ -241,11 +202,16 @@ def enumerate_ntypes(
     database constants, and the root may take labelled in-edges from
     database constants.  Fresh nodes carry a type from `types` (see
     `build_type_links`); database constants keep their types in the
-    restriction.
+    restriction.  A tree is kept when the value restrictions and role
+    inclusions hold on its union with the restriction.
     """
     clo = role_closure(onto)
     ordered_types = sorted(types, key=sorted)
+    fresh_mem = {t: _element_mem(None, t, True) for t in ordered_types}
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
+    tree_axioms = [
+        a for a in onto.sorted_axioms() if isinstance(a, (ForallAxiom, RoleInclusion))
+    ]
     roles = sorted(
         {Role(nm, False) for nm in onto.role_names()}
         | {Role(nm, True) for nm in onto.role_names()}
@@ -256,31 +222,15 @@ def enumerate_ntypes(
     root = NODE_PREFIX + "1"
     out: List[NType] = []
     for root_t in ordered_types:
-        obligations = [
-            a
-            for a in exists_axioms
-            if (a.lhs == TOP) or (a.lhs.kind == "named" and a.lhs.name in root_t)
-        ]
+        obligations = [a for a in exists_axioms if fresh_mem[root_t](a.lhs)]
         witness_options = []
         ok_root = True
         for a in obligations:
-            opts = []
             # a fresh child leaf of a consistent type
-            for t2 in ordered_types:
-                filler_ok = (
-                    a.filler == TOP
-                    or (a.filler.kind == "named" and a.filler.name in t2)
-                )
-                if filler_ok:
-                    opts.append(("fresh", a.role, t2))
+            opts = [("fresh", a.role, t2) for t2 in ordered_types if fresh_mem[t2](a.filler)]
             # a database constant as the witness leaf
-            for c in sorted(adom0):
-                filler_ok = (
-                    a.filler == TOP
-                    or (a.filler.kind == "named" and (a.filler.name, (c,)) in base_restriction.atoms)
-                )
-                if filler_ok:
-                    opts.append(("const", a.role, c))
+            filler = simple_extension(base_restriction, a.filler)
+            opts += [("const", a.role, c) for c in sorted(adom0) if c in filler]
             if not opts:
                 ok_root = False
                 break
@@ -324,7 +274,8 @@ def enumerate_ntypes(
                         tuple(nodes),
                         frozenset(atoms),
                     )
-                    if _ntype_valid(onto, nt):
+                    combined = nt.combined()
+                    if all(_axiom_holds(combined, a) for a in tree_axioms):
                         out.append(nt)
                         if len(out) > NTYPE_CEILING:
                             raise ResourceCeilingError("n-type count exceeds ceiling")
@@ -337,31 +288,6 @@ def enumerate_ntypes(
             seen.add(key)
             unique.append(nt)
     return unique
-
-
-def _ntype_valid(onto, nt: NType) -> bool:
-    """Value restrictions and role closure over the combined fragment."""
-    combined = nt.combined()
-
-    for a in onto.axioms:
-        if isinstance(a, ForallAxiom):
-            filler_name = a.filler
-            for (x, y) in combined.role_pairs(a.role):
-                lhs_holds = a.lhs == TOP or (
-                    a.lhs.kind == "named" and (a.lhs.name, (x,)) in combined.atoms
-                )
-                if not lhs_holds:
-                    continue
-                if filler_name == TOP:
-                    continue
-                if filler_name.kind == "bot":
-                    return False
-                if (filler_name.name, (y,)) not in combined.atoms:
-                    return False
-        elif isinstance(a, RoleInclusion):
-            if not combined.role_pairs(a.sub) <= combined.role_pairs(a.sup):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -396,38 +322,20 @@ def check_coherence(onto: Ontology, members: Sequence[NType], adom0) -> bool:
 def _open_obligations(onto: Ontology, inst: Instance, adom0) -> Iterator[Tuple[str, ExistsAxiom]]:
     """The existential axioms whose left side holds at a database constant
     of inst but which inst does not fulfil there, as (constant, axiom)."""
-    exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
+    unfulfilled = [
+        (a, simple_extension(inst, a.lhs) - _witnessed(inst, a))
+        for a in onto.sorted_axioms()
+        if isinstance(a, ExistsAxiom)
+    ]
     for c in sorted(adom0):
-        ct = inst.concept_memberships(c)
-        for a in exists_axioms:
-            lhs_holds = a.lhs == TOP or (
-                a.lhs.kind == "named" and a.lhs.name in ct
-            ) or (a.lhs.kind == "nominal" and a.lhs.name == c)
-            if lhs_holds and not _fulfilled_in(inst, c, a):
+        for a, open_at in unfulfilled:
+            if c in open_at:
                 yield c, a
 
 
-def _fulfilled_in(inst: Instance, c: str, axiom: ExistsAxiom) -> bool:
-    for (x, y) in inst.role_pairs(axiom.role):
-        if x != c:
-            continue
-        if axiom.filler == TOP or (axiom.filler.kind == "named" and (axiom.filler.name, (y,)) in inst.atoms) or (
-            axiom.filler.kind == "nominal" and axiom.filler.name == y
-        ):
-            return True
-    return False
-
-
 def _root_witnesses(m: NType, c: str, axiom: ExistsAxiom) -> bool:
-    combined = m.combined()
-    for (x, y) in combined.role_pairs(axiom.role):
-        if x == c and y == m.root:
-            if axiom.filler == TOP or (
-                axiom.filler.kind == "named"
-                and (axiom.filler.name, (m.root,)) in combined.atoms
-            ):
-                return True
-    return False
+    j = m.combined()
+    return (c, m.root) in j.role_pairs(axiom.role) and m.root in simple_extension(j, axiom.filler)
 
 
 def _boundary_match(m: NType, d: str, m2: NType) -> bool:
@@ -510,13 +418,19 @@ def minimal_coherent_sets(
             for m2 in candidates:
                 if _boundary_match(m, d, m2) and m2 not in fam:
                     frontier.append(fam | {m2})
-    # keep subset-minimal families only
-    minimal = []
+    # keep subset-minimal families only: visited by size, a family is
+    # minimal unless it contains one of the minimal families kept before.
+    # A kept family is filed under its member found in fewest families; a
+    # family can contain it only if it contains that member.
     keys = [frozenset(m.tree_atoms for m in fam) for fam in found]
-    for i, fam in enumerate(found):
-        if not any(j != i and keys[j] < keys[i] for j in range(len(found))):
-            minimal.append(fam)
-    return minimal, complete
+    frequency = Counter(m for key in keys for m in key)
+    kept: List[int] = []
+    filed: Dict[frozenset, List[int]] = {}
+    for i in sorted(range(len(found)), key=lambda i: len(keys[i])):
+        if not any(keys[j] < keys[i] for m in keys[i] for j in filed.get(m, ())):
+            kept.append(i)
+            filed.setdefault(min(keys[i], key=frequency.__getitem__), []).append(i)
+    return [found[i] for i in sorted(kept)], complete
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ independently checkable witness, or unknown-at-bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .closedworld import (
     closed_extension_exists,
@@ -25,7 +25,7 @@ from .closedworld import (
     theory_answers,
 )
 from .entailment import entails_under_closed_queries, EntailmentVerdict
-from .errors import DialectError, ScopeError
+from .errors import ScopeError
 from .mosaic import mixed_sat, MixedSatVerdict
 from .oracle import (
     Instance,
@@ -44,7 +44,6 @@ from .syntax import (
     Exists,
     ExistsAxiom,
     FocusingConfiguration,
-    ForallAxiom,
     FreshNames,
     Functional,
     GeneralInclusion,
@@ -53,7 +52,6 @@ from .syntax import (
     Or,
     QueryAtom,
     Role,
-    RoleInclusion,
     TOP,
     Var,
     instance_query,
@@ -214,62 +212,6 @@ def eliminate_fixed_queries(
         config.name,
     )
     return FixedElimination(out, cfg, collector.name)
-
-
-# ---------------------------------------------------------------------------
-# Signature duplication -> determinacy as containment
-# ---------------------------------------------------------------------------
-
-
-def _prime(name: str) -> str:
-    return name + "'"
-
-
-def _rename_axiom(a, keep):
-    def cn(b):
-        if b.kind == "named" and b.name not in keep:
-            return named(_prime(b.name))
-        return b
-
-    def rn(r: Role):
-        return Role(_prime(r.name), r.inverted) if r.name not in keep else r
-
-    if isinstance(a, ConceptInclusion):
-        return ConceptInclusion(tuple(cn(b) for b in a.lhs), tuple(cn(b) for b in a.rhs))
-    if isinstance(a, ExistsAxiom):
-        return ExistsAxiom(cn(a.lhs), rn(a.role), cn(a.filler))
-    if isinstance(a, ForallAxiom):
-        return ForallAxiom(cn(a.lhs), rn(a.role), cn(a.filler))
-    if isinstance(a, RoleInclusion):
-        return RoleInclusion(rn(a.sub), rn(a.sup))
-    if isinstance(a, Functional):
-        return Functional(rn(a.role))
-    raise TypeError(a)
-
-
-def duplicate_signature(
-    onto: Ontology, protected: Iterable[str], determined: Sequence[CQ]
-) -> Tuple[Ontology, List[Tuple[CQ, CQ]]]:
-    """A primed copy of every unprotected predicate, alongside the
-    original: answers to a determined query coincide across intended
-    models exactly when the query is contained in its primed variant
-    over models of the union with the protected predicates finite."""
-    if not onto.is_normalized():
-        raise DialectError("duplicate_signature requires a normalized ontology")
-    keep = frozenset(protected)
-    copy = Ontology(
-        frozenset(_rename_axiom(a, keep) for a in onto.axioms),
-        frozenset(),
-        onto.name,
-    )
-    pairs = []
-    for q in determined:
-        primed_atoms = tuple(
-            QueryAtom(a.pred if a.pred in keep else _prime(a.pred), a.args)
-            for a in q.atoms
-        )
-        pairs.append((q, CQ(q.answer_vars, primed_atoms, q.name)))
-    return onto.union(copy), pairs
 
 
 # ---------------------------------------------------------------------------

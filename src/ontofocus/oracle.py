@@ -146,6 +146,48 @@ def simple_extension(inst: Instance, b: SimpleConcept) -> FrozenSet[str]:
     return inst.concept_atoms(b.name)
 
 
+def _element_mem(c: Optional[str], t: FrozenSet[str], active: bool):
+    """Membership in simple concepts of an element with concept names t:
+    the constant c (None for a fresh element), active or not."""
+
+    def mem(b: SimpleConcept) -> bool:
+        if b.kind == "top":
+            return active
+        if b.kind == "bot":
+            return False
+        if b.kind == "nominal":
+            return b.name == c
+        return b.name in t
+
+    return mem
+
+
+def _pointwise_ok(mem, inclusions) -> bool:
+    for a in inclusions:
+        if all(mem(b) for b in a.lhs) and not any(mem(b) for b in a.rhs):
+            return False
+    return True
+
+
+def _consistent_types(names: Iterable[str], inclusions) -> List[FrozenSet[str]]:
+    """The sets of the given concept names that an active fresh element
+    can carry without breaking a concept inclusion, by size, then in
+    lexicographic order."""
+    names = sorted(names)
+    return [
+        t
+        for k in range(len(names) + 1)
+        for t in map(frozenset, itertools.combinations(names, k))
+        if _pointwise_ok(_element_mem(None, t, True), inclusions)
+    ]
+
+
+def _witnessed(inst: Instance, a: ExistsAxiom) -> FrozenSet[str]:
+    """The elements of inst with an a.role-edge into a.filler."""
+    filler = simple_extension(inst, a.filler)
+    return frozenset(x for x, y in inst.role_pairs(a.role) if y in filler)
+
+
 def member(inst: Instance, c: Concept, x: str) -> bool:
     """Membership of a concrete constant in a concept, per the table."""
     if isinstance(c, Atomic):
@@ -222,11 +264,7 @@ def _axiom_holds(inst: Instance, a) -> bool:
         return lhs <= rhs
     if isinstance(a, ExistsAxiom):
         lhs = simple_extension(inst, a.lhs)
-        if not lhs:
-            return True
-        filler = simple_extension(inst, a.filler)
-        witnessed = frozenset(x for x, y in inst.role_pairs(a.role) if y in filler)
-        return lhs <= witnessed
+        return not lhs or lhs <= _witnessed(inst, a)
     if isinstance(a, ForallAxiom):
         lhs = simple_extension(inst, a.lhs)
         if not lhs:

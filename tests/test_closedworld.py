@@ -185,13 +185,13 @@ def test_suppression_axioms():
 
 def test_nullability_negative_nominal_witness():
     onto = Ontology.of([ExistsAxiom(nominal("c"), role("r"), A)])
-    verdict = nullability(onto, [], [], instance_query("A"))
+    verdict = nullability(onto, [], [], instance_query("A"), instance_bound=3)
     assert verdict.kind == "not_nullable"
     assert verdict.witness is not None and verdict.witness.atoms == frozenset()
 
 
 def test_nullability_trivial_positive():
-    verdict = nullability(Ontology.of(), [], [], instance_query("A"))
+    verdict = nullability(Ontology.of(), [], [], instance_query("A"), instance_bound=3)
     assert verdict.kind == "nullable"
 
 
@@ -219,8 +219,8 @@ def test_nullability_closed_concepts_matter():
 
 def test_nullability_witness_transfers_to_larger_schema():
     onto = Ontology.of([ExistsAxiom(nominal("c"), role("r"), A)])
-    small = nullability(onto, [], [], instance_query("A"))
-    big = nullability(onto, ["B"], [], instance_query("A"))
+    small = nullability(onto, [], [], instance_query("A"), instance_bound=3)
+    big = nullability(onto, ["B"], [], instance_query("A"), instance_bound=3)
     assert small.kind == big.kind == "not_nullable"
     # the small-schema witness remains legal and refuting for the big one
     assert small.witness.atoms <= big.witness.atoms or big.witness is not None
@@ -228,7 +228,9 @@ def test_nullability_witness_transfers_to_larger_schema():
 
 def test_nullability_rejects_closed_role_queries():
     with pytest.raises(DialectError):
-        nullability(Ontology.of(), [], [role_query("r")], instance_query("A"))
+        nullability(
+            Ontology.of(), [], [role_query("r")], instance_query("A"), instance_bound=3
+        )
 
 
 # ---------------------------------------------------------------------------

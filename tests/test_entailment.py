@@ -222,6 +222,36 @@ def test_database_constant_with_nominal_type_sends_edges():
     assert not evaluate_query(v.counter_model, q).holds()
 
 
+@pytest.mark.parametrize(
+    "axioms, base",
+    [
+        # the existential A ⊑ ∃r.{c} is served by the database constant c
+        (
+            [ExistsAxiom(B, role("s"), A), ExistsAxiom(A, role("r"), nominal("c"))],
+            Instance.of(("B", "c")),
+        ),
+        # the value restriction B ⊑ ∀r.{c} sends every r-edge of a B to c
+        (
+            [
+                ExistsAxiom(C, role("s"), B),
+                ExistsAxiom(B, role("r"), TOP),
+                ForallAxiom(B, role("r"), nominal("c")),
+            ],
+            Instance.of(("C", "c")),
+        ),
+    ],
+    ids=["exists-nominal-filler", "forall-nominal-filler"],
+)
+def test_nominal_fillers_leave_room_for_a_counter_model(axioms, base):
+    # a fresh s-successor of c carries the r-edge back to c, so no r-loop
+    onto = Ontology.of(axioms)
+    q = boolean([QueryAtom("r", (x, x))])
+    v = entails_under_closed_queries(onto, base, [], q)
+    assert v.kind == "not_entailed"
+    assert in_cwa(onto, base, [], v.counter_model)
+    assert not evaluate_query(v.counter_model, q).holds()
+
+
 def test_closing_a_disjunct_forces_the_other():
     onto = Ontology.of([ConceptInclusion((A,), (B, C))])
     base = Instance.of(("A", "c"))

@@ -14,7 +14,6 @@ from ontofocus.focusing import (
     check_emptiness,
     check_entailment,
     check_focus,
-    duplicate_signature,
     eliminate_fixed_queries,
     is_legal,
 )
@@ -106,30 +105,6 @@ def test_eliminate_fixed_requires_certified_answers():
     cfg = FocusingConfiguration.of(schema={"A"}, fixed=[instance_query("B")])
     with pytest.raises(ScopeError, match="certified"):
         eliminate_fixed_queries(onto, cfg)
-
-
-# ---------------------------------------------------------------------------
-# signature duplication
-# ---------------------------------------------------------------------------
-
-
-def test_duplicate_signature_protected_identity():
-    onto = Ontology.of([ConceptInclusion((A,), (B,))])
-    out, pairs = duplicate_signature(onto, {"A", "B"}, [instance_query("B")])
-    assert out.axioms == onto.axioms
-    assert pairs[0][0] == pairs[0][1]
-
-
-def test_duplicate_signature_copies_unprotected():
-    onto = Ontology.of([ConceptInclusion((A,), (B,))])
-    out, pairs = duplicate_signature(onto, {"A"}, [instance_query("B")])
-    assert ConceptInclusion((A,), (named("B'"),)) in out.axioms
-    assert ConceptInclusion((A,), (B,)) in out.axioms
-    q, qp = pairs[0]
-    assert qp.atoms[0].pred == "B'"
-    # containment fails: close A, let B hold without B'
-    j = Instance.of(("A", "c"), ("B", "c"))
-    assert not evaluate_query(j, qp).tuples >= evaluate_query(j, q).tuples
 
 
 # ---------------------------------------------------------------------------
