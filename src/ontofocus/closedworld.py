@@ -94,6 +94,11 @@ def theory_answers(onto: Ontology, q, fresh_bound: int = 1) -> AnswerSet:
     return certain_answers_bounded(onto, EMPTY, q, fresh_bound)
 
 
+def pinned_predicates(closed) -> frozenset:
+    """(predicate, arity) of each atomic closed query: CWA pins its atoms to the base's."""
+    return frozenset((q.atoms[0].pred, len(q.atoms[0].args)) for q in closed if is_atomic_query(q))
+
+
 def intended_models_bounded(
     onto: Ontology,
     config: FocusingConfiguration,
@@ -101,13 +106,17 @@ def intended_models_bounded(
     fresh_bound: int = 1,
 ) -> Iterator[Instance]:
     """Bounded stream of intended models: CWA- and FIX-members among the
-    bounded model extensions of the base instance."""
-    fixed_answers = {q: theory_answers(onto, q, fresh_bound) for q in config.fixed}
+    bounded model extensions of the base instance, in their order.  The
+    pool leaves out the atoms that `in_cwa` would reject (`closed` of
+    `enumerate_extensions`), and its models extend the base, so only the
+    answers are compared, with those of the base and the theory.
+    """
+    expected = [(q, evaluate_query(base, q)) for q in config.closed]
+    expected += [(q, theory_answers(onto, q, fresh_bound)) for q in config.fixed]
     queries = [*config.closed, *config.fixed, *config.determined]
-    for j in enumerate_extensions(onto, base, fresh_bound, queries=queries):
-        if in_cwa(onto, base, config.closed, j) and in_fix(
-            onto, base, config.fixed, j, fixed_answers
-        ):
+    pinned = pinned_predicates(config.closed)
+    for j in enumerate_extensions(onto, base, fresh_bound, queries, pinned):
+        if all(evaluate_query(j, q) == answers for q, answers in expected):
             yield j
 
 
@@ -250,9 +259,7 @@ def _candidate_works(
     # an active constant must end up with an atom: a named concept, an
     # allowed incident edge, or a triggered existential
     for c in sorted(actives):
-        if any(mems[c](named(n)) for n in onto.concept_names()) or any(
-            c in args for _, args in base.atoms
-        ):
+        if c in base.adom() or any(mems[c](named(n)) for n in onto.concept_names()):
             continue
         if any(
             (c, y) in pairs[r] or (y, c) in pairs[r]

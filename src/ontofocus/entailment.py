@@ -25,9 +25,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .closedworld import in_cwa
+from .closedworld import in_cwa, pinned_predicates
 from .errors import DialectError, ResourceCeilingError
 from .oracle import (
     Instance,
@@ -148,18 +149,10 @@ class NType:
     def combined(self) -> Instance:
         return Instance(self.base.atoms | self.tree_atoms)
 
-    def node_type(self, node: str, concepts) -> FrozenSet[str]:
-        return frozenset(
-            p for p, args in self.tree_atoms if len(args) == 1 and args[0] == node
-        ) & frozenset(concepts)
-
-    def in_edges(self) -> FrozenSet[tuple]:
-        out = set()
-        base_adom = self.base.adom()
-        for p, args in self.tree_atoms:
-            if len(args) == 2 and args[0] in base_adom and args[1] == self.root:
-                out.add((p, args))
-        return frozenset(out)
+    @cached_property
+    def tree(self) -> Instance:
+        """The tree atoms as an instance, for its index of unary types."""
+        return Instance(self.tree_atoms)
 
     def successors(self) -> List[str]:
         out = []
@@ -345,9 +338,7 @@ def _boundary_match(m: NType, d: str, m2: NType) -> bool:
     would wrongly separate continuations whose witnesses live in the
     database.)  Weaker matching only admits more candidate families,
     which keeps the positive verdict sound."""
-    atoms_d_unary = {p for p, args in m.tree_atoms if args == (d,)}
-    atoms_root_unary = {p for p, args in m2.tree_atoms if args == (m2.root,)}
-    return atoms_d_unary == atoms_root_unary
+    return m.tree.concept_memberships(d) == m2.tree.concept_memberships(m2.root)
 
 
 def minimal_coherent_sets(
@@ -529,7 +520,8 @@ def _confirm_counter_model(onto, base, closed_queries, q, union):
     """Ask the oracle for a CWA-member extension of the candidate union
     that avoids q; exact confirmation of a NotEntailed verdict."""
     queries = [*closed_queries, q]
-    for j in enumerate_extensions(onto, union, ORACLE_FRESH_BOUND, queries=queries):
+    pinned = pinned_predicates(closed_queries)
+    for j in enumerate_extensions(onto, union, ORACLE_FRESH_BOUND, queries, pinned):
         if in_cwa(onto, base, closed_queries, j) and not evaluate_query(j, q).holds():
             return j
     return None

@@ -5,13 +5,16 @@ the table semantics: Top denotes the active domain, negation is taken
 relative to the active domain, and a nominal {c} denotes {c} whether or
 not c occurs in the instance.  `enumerate_extensions` yields every
 bounded model extension of an instance and is deliberately naive; it is
-the ground truth the decision procedures are checked against.
+the ground truth the decision procedures are checked against.  Only its
+data structures are tuned: `Instance` indexes its atoms on first use, and
+predicates closed over the instance (the callers' CWA input) leave the pool.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .syntax import (
@@ -58,34 +61,53 @@ class Instance:
             out.add((pred, args))
         return Instance(frozenset(out), name)
 
+    # Indexes built on first use; equality and the hash stay on the fields.
+    # Accessors freeze only the group they read: most instances are read once.
+    @cached_property
+    def _adom(self) -> FrozenSet[str]:
+        return frozenset(c for _, args in self.atoms for c in args)
+
+    @cached_property
+    def _by_predicate(self) -> Tuple[Dict[str, set], Dict[str, set]]:
+        """The unary and the binary atoms' arguments by predicate."""
+        unary, binary = {}, {}
+        for p, args in self.atoms:
+            if len(args) == 1:
+                unary.setdefault(p, set()).add(args[0])
+            elif len(args) == 2:
+                binary.setdefault(p, set()).add(args)
+        return unary, binary
+
+    @cached_property
+    def _types(self) -> Dict[str, set]:
+        """The concept names of each constant."""
+        types: Dict[str, set] = {}
+        for p, args in self.atoms:
+            if len(args) == 1:
+                types.setdefault(args[0], set()).add(p)
+        return types
+
     def adom(self) -> FrozenSet[str]:
-        out = set()
-        for _, args in self.atoms:
-            out.update(args)
-        return frozenset(out)
+        return self._adom
 
     def predicates(self) -> FrozenSet[str]:
         return frozenset(p for p, _ in self.atoms)
 
     def predicates_unary(self) -> FrozenSet[str]:
-        return frozenset(p for p, args in self.atoms if len(args) == 1)
+        return frozenset(self._by_predicate[0])
 
     def predicates_binary(self) -> FrozenSet[str]:
-        return frozenset(p for p, args in self.atoms if len(args) == 2)
+        return frozenset(self._by_predicate[1])
 
     def concept_memberships(self, const: str) -> FrozenSet[str]:
-        return frozenset(
-            p for p, args in self.atoms if len(args) == 1 and args[0] == const
-        )
+        return frozenset(self._types.get(const, ()))
 
     def concept_atoms(self, name: str) -> FrozenSet[str]:
-        return frozenset(args[0] for p, args in self.atoms if p == name and len(args) == 1)
+        return frozenset(self._by_predicate[0].get(name, ()))
 
     def role_pairs(self, r: Role) -> FrozenSet[Tuple[str, str]]:
-        pairs = {args for p, args in self.atoms if p == r.name and len(args) == 2}
-        if r.inverted:
-            return frozenset((b, a) for a, b in pairs)
-        return frozenset(pairs)
+        pairs = self._by_predicate[1].get(r.name, ())
+        return frozenset((b, a) for a, b in pairs) if r.inverted else frozenset(pairs)
 
     def union(self, other: "Instance") -> "Instance":
         return Instance(self.atoms | other.atoms, self.name)
@@ -287,8 +309,9 @@ def _axiom_holds(inst: Instance, a) -> bool:
 
 
 def is_model(inst: Instance, onto: Ontology) -> bool:
-    """Check every inclusion and functionality assertion against inst."""
-    for a in onto.axioms:
+    """Check every inclusion and functionality assertion against inst, in
+    the fixed order of `Ontology.check_order`."""
+    for a in onto.check_order:
         if not _axiom_holds(inst, a):
             return False
     for g in onto.general_axioms:
@@ -322,9 +345,8 @@ def _match_atoms(
                 binding2[t] = c
             yield from _match_atoms(inst, rest, binding2, domain)
     else:
-        pairs = {args for p, args in inst.atoms if p == a.pred and len(args) == 2}
         t1, t2 = a.args
-        for c1, c2 in pairs:
+        for c1, c2 in inst._by_predicate[1].get(a.pred, ()):
             b2 = _extend(binding, t1, c1)
             if b2 is None:
                 continue
@@ -413,31 +435,21 @@ def split_signature(
     return sorted(names - roles), sorted(names & roles)
 
 
-def _fresh_canonical(atom_list: List[Atom], chosen: Tuple[bool, ...], fresh: List[str]) -> bool:
-    """Accept only subsets where fresh constants appear in first-use order."""
-    if not fresh:
-        return True
-    first_use = {}
-    idx = 0
-    for take, atomrec in zip(chosen, atom_list):
-        if not take:
-            continue
-        for c in atomrec[1]:
-            if c in first_use:
-                continue
-            if c in fresh:
-                first_use[c] = idx
-                idx += 1
-    used = [c for c in fresh if c in first_use]
-    # used fresh constants must be a prefix of the pool, ordered by first use
-    if used != fresh[: len(used)]:
-        return False
-    order = [first_use[c] for c in used]
-    return order == sorted(order)
+def _fresh_canonical(combo, position: Dict[str, int]) -> bool:
+    """Accept only atoms whose fresh constants first appear in pool order,
+    fresh[0], fresh[1], ...; position maps each to its index."""
+    used = 0
+    for _, args in combo:
+        for c in args:
+            k = position.get(c, -1)
+            if k > used:
+                return False
+            used += k == used
+    return True
 
 
 def enumerate_extensions(
-    onto: Ontology, inst: Instance, fresh_bound: int = 0, queries=()
+    onto: Ontology, inst: Instance, fresh_bound: int = 0, queries=(), closed=()
 ) -> Iterator[Instance]:
     """Yield every model J of onto with inst ⊆ J over the bounded domain.
 
@@ -447,6 +459,11 @@ def enumerate_extensions(
     typed by `split_signature`.  Enumeration order is deterministic
     (increasing size, then lexicographic); extensions are generated up
     to canonical first-use renaming of fresh constants.
+
+    `closed` holds (predicate, arity) pairs whose atoms in J are exactly
+    those of inst.  The stream is then the part of the unrestricted one
+    that adds none of their atoms, in order: the combinations of a
+    sub-pool keep their order, and the first-use test reads only them.
     """
     names = onto.concept_names() | onto.role_names() | inst.predicates()
     constants = inst.adom() | onto.constants()
@@ -458,13 +475,13 @@ def enumerate_extensions(
     fresh = [fresh_constant(i + 1) for i in range(fresh_bound)]
     domain = sorted(constants) + fresh
     pool = [a for a in candidate_atoms(concepts, roles, domain) if a not in inst.atoms]
-    base = inst.atoms
+    pool = [a for a in pool if (a[0], len(a[1])) not in closed]
+    position = {c: k for k, c in enumerate(fresh)}
     for size in range(len(pool) + 1):
-        for combo in itertools.combinations(range(len(pool)), size):
-            chosen = tuple(i in combo for i in range(len(pool)))
-            if fresh and not _fresh_canonical(pool, chosen, fresh):
+        for combo in itertools.combinations(pool, size):
+            if fresh and not _fresh_canonical(combo, position):
                 continue
-            cand = Instance(base | frozenset(pool[i] for i in combo), inst.name)
+            cand = Instance(inst.atoms | frozenset(combo), inst.name)
             if is_model(cand, onto):
                 yield cand
 
@@ -515,12 +532,12 @@ def enumerate_instances(
         return
     fresh = [fresh_constant(i + 1) for i in range(max_constants)]
     pool = candidate_atoms(concepts, roles, fixed + fresh)
+    position = {c: k for k, c in enumerate(fresh)}
     for size in range(len(pool) + 1):
-        for combo in itertools.combinations(range(len(pool)), size):
-            chosen = tuple(i in combo for i in range(len(pool)))
-            if fresh and not _fresh_canonical(pool, chosen, fresh):
+        for combo in itertools.combinations(pool, size):
+            if fresh and not _fresh_canonical(combo, position):
                 continue
-            inst = Instance(frozenset(pool[i] for i in combo))
+            inst = Instance(frozenset(combo))
             if len(inst.adom()) <= max_constants:
                 yield inst
 

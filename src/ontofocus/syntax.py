@@ -15,6 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 RESERVED_PREFIX = "_"
@@ -309,6 +310,13 @@ class Ontology:
 
     def sorted_axioms(self) -> list:
         return sorted(self.axioms, key=axiom_sort_key)
+
+    @cached_property
+    def check_order(self) -> tuple:
+        """The order a model check walks the axioms, fixed against string
+        hashing: concept inclusions (the cheapest) first, shorter first."""
+        key = lambda a: (not isinstance(a, ConceptInclusion), len(str(a)), str(a))
+        return tuple(sorted(self.axioms, key=key))
 
     def sorted_general(self) -> list:
         return sorted(self.general_axioms, key=str)

@@ -103,6 +103,46 @@ def test_intended_models_unconstrained_equals_extension_stream():
     assert got == want
 
 
+def _intended_models_by_filter(onto, config, base, fresh_bound):
+    """The intended models as the `in_cwa`/`in_fix` filter over the
+    unpinned extension stream."""
+    fixed_answers = {q: theory_answers(onto, q, fresh_bound) for q in config.fixed}
+    queries = [*config.closed, *config.fixed, *config.determined]
+    for j in enumerate_extensions(onto, base, fresh_bound, queries=queries):
+        if in_cwa(onto, base, config.closed, j) and in_fix(
+            onto, base, config.fixed, j, fixed_answers
+        ):
+            yield j
+
+
+def test_intended_models_pin_closed_predicates_by_arity():
+    # P is a role of the ontology, so the closed P(x) pins no role atom
+    onto = Ontology.of([ExistsAxiom(A, role("P"), TOP)])
+    config = FocusingConfiguration.of(schema={"A", "P"}, closed=[instance_query("P")])
+    i = Instance.of(("A", "c"))
+    got = list(intended_models_bounded(onto, config, i, 1))
+    assert len(got) == 21
+    assert got == list(_intended_models_by_filter(onto, config, i, 1))
+
+
+def test_intended_models_equal_filtered_stream_differential():
+    rng = random.Random(23)
+    has_r = CQ((x,), (QueryAtom("r", (x, Var("y"))),))  # not atomic: pins nothing
+    queries = [instance_query("A"), instance_query("B"), role_query("r"), role_query("s"), has_r]
+    nonempty = 0
+    for _ in range(30):
+        onto = random_normal_ontology(rng, n_axioms=3, concepts=["A", "B"], roles=["r", "s"])
+        closed = [q for q in queries if rng.random() < 0.4]
+        fixed = [instance_query("B")] if rng.random() < 0.3 else []
+        config = FocusingConfiguration.of(schema={"A", "B", "r", "s"}, closed=closed, fixed=fixed)
+        pool = [("A", ("c",)), ("B", ("c",)), ("r", ("c", "c")), ("s", ("c", "c"))]
+        base = Instance(frozenset(a for a in pool if rng.random() < 0.5))
+        got = list(intended_models_bounded(onto, config, base, 1))
+        assert got == list(_intended_models_by_filter(onto, config, base, 1))
+        nonempty += bool(got)
+    assert nonempty >= 10
+
+
 # ---------------------------------------------------------------------------
 # closed_extension_exists
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from ontofocus.oracle import (
     EMPTY,
     Instance,
+    _fresh_canonical,
     candidate_atoms,
     certain_answers_bounded,
     concept_extension,
     enumerate_extensions,
     enumeration_is_exhaustive,
     evaluate_query,
+    fresh_constant,
     is_model,
 )
 from ontofocus.syntax import (
@@ -232,3 +234,86 @@ def test_model_check_agrees_with_concept_extension():
                 for b in ax.rhs:
                     rhs = rhs | concept_extension(inst, Atomic(b))
                 assert is_model(inst, onto) == (lhs <= rhs)
+
+
+# ---------------------------------------------------------------------------
+# Indexed accessors and the first-use test, against their scan definitions
+# ---------------------------------------------------------------------------
+
+
+def _scan_adom(inst):
+    return frozenset(c for _, args in inst.atoms for c in args)
+
+
+def _scan_concept_atoms(inst, name):
+    return frozenset(args[0] for p, args in inst.atoms if p == name and len(args) == 1)
+
+
+def _scan_memberships(inst, const):
+    return frozenset(p for p, args in inst.atoms if len(args) == 1 and args[0] == const)
+
+
+def _scan_role_pairs(inst, r):
+    pairs = {args for p, args in inst.atoms if p == r.name and len(args) == 2}
+    if r.inverted:
+        return frozenset((b, a) for a, b in pairs)
+    return frozenset(pairs)
+
+
+def test_indexed_accessors_equal_scan_definitions():
+    rng = random.Random(17)
+    pool = candidate_atoms(["A", "B"], ["r", "s"], ["c", "d", "e"])
+    instances = [EMPTY, Instance.of(("A", "c"), ("r", "c", "c"), ("s", "d", "c"))]
+    instances += [Instance(frozenset(a for a in pool if rng.random() < 0.3)) for _ in range(30)]
+    for inst in instances:
+        assert inst.adom() == _scan_adom(inst)
+        assert inst.predicates_unary() == frozenset(p for p, a in inst.atoms if len(a) == 1)
+        assert inst.predicates_binary() == frozenset(p for p, a in inst.atoms if len(a) == 2)
+        for name in ("A", "B", "r", "Z"):
+            assert inst.concept_atoms(name) == _scan_concept_atoms(inst, name)
+        for const in ("c", "d", "e", "absent"):
+            assert inst.concept_memberships(const) == _scan_memberships(inst, const)
+        for r in (role("r"), inv("r"), role("s"), inv("s"), role("A"), inv("t")):
+            assert inst.role_pairs(r) == _scan_role_pairs(inst, r)
+
+
+def test_index_leaves_equality_and_hash_on_the_atoms():
+    i, j = Instance.of(("A", "c"), ("r", "c", "d")), Instance.of(("r", "c", "d"), ("A", "c"))
+    i.adom(), i.role_pairs(inv("r"))  # build i's index, not j's
+    assert i == j and hash(i) == hash(j) and len({i, j}) == 1
+
+
+def _fresh_canonical_by_chosen(atom_list, chosen, fresh):
+    """The first-use test over a membership tuple of the whole pool."""
+    if not fresh:
+        return True
+    first_use = {}
+    idx = 0
+    for take, atomrec in zip(chosen, atom_list):
+        if not take:
+            continue
+        for c in atomrec[1]:
+            if c in first_use:
+                continue
+            if c in fresh:
+                first_use[c] = idx
+                idx += 1
+    used = [c for c in fresh if c in first_use]
+    if used != fresh[: len(used)]:
+        return False
+    order = [first_use[c] for c in used]
+    return order == sorted(order)
+
+
+def test_fresh_canonical_equals_chosen_definition():
+    fresh = [fresh_constant(1), fresh_constant(2)]
+    pool = candidate_atoms(["A"], ["r"], ["c"] + fresh)
+    position = {c: k for k, c in enumerate(fresh)}
+    accepted = 0
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(range(len(pool)), size):
+            chosen = tuple(i in combo for i in range(len(pool)))
+            want = _fresh_canonical_by_chosen(pool, chosen, fresh)
+            assert _fresh_canonical([pool[i] for i in combo], position) == want
+            accepted += want
+    assert 0 < accepted < 2 ** len(pool)
