@@ -1,10 +1,11 @@
-"""Closed-query semantics, consistency with closed concepts, nullability.
+"""Closed-query semantics, consistency with closed predicates, nullability.
 
 CWA membership keeps the query answers of an extension pinned to those
 of the database; FIX membership pins them to what the theory alone
-entails.  Consistency with closed concepts is decided exactly by type
-elimination: guess the restriction of a model to the database constants
-(plus nominal constants), then iteratively discard anonymous element
+entails.  Consistency with closed concepts and closed roles is decided
+exactly by type elimination: guess the restriction of a model to the
+database constants (plus nominal constants), keep every closed-role edge
+on a base pair of that role, then iteratively discard anonymous element
 types whose existential obligations cannot be served.  Nullability
 quantifies that check over all legal databases up to a size bound (the
 exact bound is exponential in the vocabulary; smaller bounds degrade
@@ -39,15 +40,10 @@ from .syntax import (
     ExistsAxiom,
     ForallAxiom,
     FocusingConfiguration,
-    FreshNames,
     Functional,
     Ontology,
     Role,
-    RoleInclusion,
-    SimpleConcept,
     TOP,
-    Var,
-    instance_query,
     is_atomic_query,
     is_instance_query,
     named,
@@ -121,7 +117,7 @@ def intended_models_bounded(
 
 
 # ---------------------------------------------------------------------------
-# Type elimination for consistency with closed concepts
+# Type elimination for consistency with closed predicates
 # ---------------------------------------------------------------------------
 
 
@@ -139,31 +135,53 @@ def _link_ok(onto, clo, src_mem, r: Role, dst_mem) -> bool:
     return True
 
 
+def _closed_room(clo, base: Instance, closed_roles, r: Role) -> Optional[frozenset]:
+    """The pairs an edge carrying r may join: those where the base already
+    holds every closed role the edge carries (r⁻ included), or None when
+    it carries no closed role."""
+    room = None
+    for p in clo.get(r, frozenset({r})):
+        if p.name in closed_roles:
+            pairs = base.role_pairs(p)
+            room = pairs if room is None else room & pairs
+    return room
+
+
 _CANDIDATE_CEILING = 300000
 
 
-def closed_extension_exists(
-    onto: Ontology,
-    base: Instance,
-    closed_concepts: Iterable[str],
-) -> bool:
-    """Is there a model J of onto with base ⊆ J and A^J = A^base for
-    every closed concept A?
+def closed_extension_exists(onto: Ontology, base: Instance, closed) -> bool:
+    """Is there a model J of onto with base ⊆ J that keeps every closed
+    predicate to its base atoms?
+
+    `closed` holds (predicate, arity) pairs, as `pinned_predicates`
+    builds them: A^J = A^base for each closed concept A (arity 1) and
+    s^J = s^base for each closed role s (arity 2).
 
     Exact for normalized ontologies without functionality.  The
     restriction of J to the database-plus-nominal constants is searched
-    as one unary type per constant; given the types, taking every edge
-    compatible with the value restrictions dominates any other choice,
-    so edges need no search.  The anonymous part is then type-eliminated.
+    as one unary type per constant.  An edge carrying a closed role s or
+    s⁻ (through the role hierarchy) may join only a base pair of that
+    role, so anonymous elements and nominals outside the base get no such
+    edge.  Given the types, taking every edge that the value restrictions
+    and the closed roles allow dominates any other choice: an allowed edge
+    breaks no axiom, since functionality is excluded and each role it
+    carries already joins that pair in the base or is open, and it can
+    only serve more existentials.  So edges need no search.  The
+    anonymous part is then type-eliminated: an anonymous element serves
+    its obligations and those of the constants only over edges that carry
+    no closed role.
     """
     if not onto.is_normalized():
         raise DialectError("closed_extension_exists requires a normalized ontology")
     if any(isinstance(a, Functional) for a in onto.axioms):
         raise DialectError("functionality is outside the supported fragment")
-    closed = frozenset(closed_concepts)
+    closed_concepts = frozenset(p for p, k in closed if k == 1)
+    closed_roles = frozenset(p for p, k in closed if k == 2)
     clo = role_closure(onto)
-    concepts = sorted(onto.concept_names() | base.predicates_unary() | closed)
-    roles = sorted(onto.role_names() | base.predicates_binary())
+    concepts = sorted(onto.concept_names() | base.predicates_unary() | closed_concepts)
+    role_names = onto.role_names() | base.predicates_binary()
+    roles = sorted({Role(n, False) for n in role_names} | {Role(n, True) for n in role_names})
     pinned = sorted(onto.constants() - base.adom())
     domain = sorted(base.adom()) + pinned
 
@@ -172,11 +190,24 @@ def closed_extension_exists(
 
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
+    room = {r: _closed_room(clo, base, closed_roles, r) for r in roles}
+
+    # a base edge carries its super-roles into J: each closed one must be
+    # in the base already, whatever the types
+    for r in roles:
+        if not r.inverted and room[r] is not None and not base.role_pairs(r) <= room[r]:
+            return False
 
     # anonymous elements, by the membership function of their type: no
-    # closed concepts, no nominal identity
-    open_concepts = [c for c in concepts if c not in closed]
-    anon_mems = [_element_mem(None, t, True) for t in _consistent_types(open_concepts, inclusions)]
+    # closed concepts, no nominal identity, and no obligation that only
+    # an edge carrying a closed role could serve
+    open_concepts = [c for c in concepts if c not in closed_concepts]
+    closed_obligations = [a for a in exists_axioms if room[a.role] is not None]
+    anon_mems = [
+        m
+        for m in (_element_mem(None, t, True) for t in _consistent_types(open_concepts, inclusions))
+        if not any(m(a.lhs) for a in closed_obligations)
+    ]
 
     # per-constant options: (type, active); database constants are active
     # and keep their closed memberships exactly
@@ -187,7 +218,7 @@ def closed_extension_exists(
         opts = []
         for k in range(len(open_concepts) + 1):
             for chosen in itertools.combinations(open_concepts, k):
-                t = frozenset(chosen) | (base_type & closed)
+                t = frozenset(chosen) | (base_type & closed_concepts)
                 if not base_type <= t:
                     continue
                 if c in base_adom:
@@ -223,23 +254,18 @@ def closed_extension_exists(
         }
         actives = {c for c, (_, act) in zip(domain, assignment) if act}
         if _candidate_works(
-            onto, clo, base, domain, mems, actives, anon_mems, exists_axioms
+            onto, clo, base, domain, roles, room, mems, actives, anon_mems, exists_axioms
         ):
             return True
     return False
 
 
 def _candidate_works(
-    onto, clo, base, domain, mems, actives, anon_mems, exists_axioms
+    onto, clo, base, domain, roles, room, mems, actives, anon_mems, exists_axioms
 ) -> bool:
-    roles_all = sorted(
-        {Role(n, False) for n in onto.role_names() | base.predicates_binary()}
-        | {Role(n, True) for n in onto.role_names() | base.predicates_binary()}
-    )
-
     # the base edges, between active database constants, must themselves
     # be compatible
-    for r in roles_all:
+    for r in roles:
         if r.inverted:
             continue
         for (x, y) in base.role_pairs(r):
@@ -248,12 +274,13 @@ def _candidate_works(
 
     # maximal compatible edge set, used for fulfilled obligations
     pairs: Dict[Role, Set[tuple]] = {}
-    for r in roles_all:
+    for r in roles:
         pairs[r] = {
             (x, y)
             for x in sorted(actives)
             for y in sorted(actives)
-            if _link_ok(onto, clo, mems[x], r, mems[y])
+            if (room[r] is None or (x, y) in room[r])
+            and _link_ok(onto, clo, mems[x], r, mems[y])
         }
 
     # an active constant must end up with an atom: a named concept, an
@@ -263,7 +290,7 @@ def _candidate_works(
             continue
         if any(
             (c, y) in pairs[r] or (y, c) in pairs[r]
-            for r in roles_all
+            for r in roles
             for y in sorted(actives)
         ):
             continue
@@ -298,14 +325,16 @@ def _candidate_works(
         changed = len(remaining) < len(survivors)
         survivors = remaining
 
-    # every active element's unfulfilled obligations need a witness
+    # every active element's unfulfilled obligations need a witness: a
+    # constant over an allowed edge, or an anonymous survivor over an edge
+    # that carries no closed role
     for c in sorted(actives):
         for a in exists_axioms:
             if not mems[c](a.lhs):
                 continue
             if any(mems[y](a.filler) for (x, y) in pairs[a.role] if x == c):
                 continue
-            if any(
+            if room[a.role] is None and any(
                 m(a.filler) and _link_ok(onto, clo, mems[c], a.role, m) for m in survivors
             ):
                 continue
@@ -367,10 +396,8 @@ def nullability(
         raise DialectError("functionality is outside the supported fragment")
     for cq_ in closed_queries:
         if not is_instance_query(cq_):
-            raise DialectError(
-                "closed role queries are undecidable here; reduce them first"
-            )
-    closed = [cq_.atoms[0].pred for cq_ in closed_queries]
+            raise DialectError("nullability takes closed concept queries only")
+    closed = pinned_predicates(closed_queries)
     sigma_concepts, sigma_roles = split_signature(
         onto, sigma, queries=[*closed_queries, q]
     )
@@ -388,82 +415,3 @@ def nullability(
     if instance_bound >= bound:
         return NullabilityVerdict("nullable", None, bound)
     return NullabilityVerdict("unknown", None, bound)
-
-
-# ---------------------------------------------------------------------------
-# Role closure reduction for DL-Lite with nominals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoleClosureReduction:
-    ontology: Ontology
-    sigma: frozenset
-    closed_queries: tuple
-    query: CQ
-    concept_for_role: tuple  # ((Role, concept name), ...)
-
-
-def lite_role_closure_reduction(
-    onto: Ontology, sigma: Iterable[str], closed_queries, q: CQ
-) -> RoleClosureReduction:
-    """Replace closed role queries by closed concepts naming the origins
-    of role edges; preserves nullability in both directions."""
-    feats_ok = (
-        onto.is_normalized()
-        and not any(isinstance(a, Functional) for a in onto.axioms)
-        and not any(isinstance(a, RoleInclusion) for a in onto.axioms)
-        and all(
-            a.filler == TOP for a in onto.axioms if isinstance(a, ExistsAxiom)
-        )
-        and all(a.lhs == TOP for a in onto.axioms if isinstance(a, ForallAxiom))
-    )
-    if not feats_ok:
-        raise DialectError("the role-closure reduction needs DL-Lite with nominals")
-    for cq_ in closed_queries:
-        if not is_atomic_query(cq_):
-            raise DialectError("closed queries must be atomic")
-
-    role_queries = [
-        cq_ for cq_ in closed_queries if not cq_.atoms[0].is_concept_atom()
-    ]
-    if not role_queries:
-        return RoleClosureReduction(
-            onto, frozenset(sigma), tuple(closed_queries), q, ()
-        )
-    closed_roles: List[Role] = []
-    for cq_ in role_queries:
-        r = Role(cq_.atoms[0].pred, False)
-        for p in (r, r.inverse()):
-            if p not in closed_roles:
-                closed_roles.append(p)
-
-    fresh = FreshNames(onto.concept_names())
-    concept_of: Dict[Role, SimpleConcept] = {}
-    for p in closed_roles:
-        concept_of[p] = named(fresh.mint())
-    extra = []
-    for p in closed_roles:
-        a_p = concept_of[p]
-        extra.append(ExistsAxiom(a_p, p, TOP))
-        extra.append(ForallAxiom(TOP, p, concept_of[p.inverse()]))
-        extra.append(ExistsAxiom(a_p, p, concept_of[p.inverse()]))
-    out = onto.with_axioms(extra)
-
-    x = Var("x")
-    new_closed = [
-        cq_ for cq_ in closed_queries if cq_.atoms[0].is_concept_atom()
-    ]
-    for p in closed_roles:
-        new_closed.append(instance_query(concept_of[p].name))
-    sigma = set(sigma)
-    sigma_out = sigma | {
-        concept_of[p].name for p in closed_roles if p.name in sigma
-    }
-    return RoleClosureReduction(
-        out,
-        frozenset(sigma_out),
-        tuple(new_closed),
-        q,
-        tuple(sorted(((p, concept_of[p].name) for p in closed_roles), key=str)),
-    )

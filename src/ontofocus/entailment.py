@@ -23,7 +23,7 @@ degrades to unknown-at-bound.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -374,11 +374,17 @@ def minimal_coherent_sets(
             complete = False
             break
 
+    # the gap search asks for the candidates whose root carries a given
+    # unary type (`_boundary_match`)
+    by_root_type: Dict[FrozenSet[str], List[NType]] = {}
+    for m2 in candidates:
+        by_root_type.setdefault(m2.tree.concept_memberships(m2.root), []).append(m2)
+
     for seed in seeds:
-        frontier = [seed]
+        frontier = deque([seed])
         local_seen = set()
         while frontier:
-            fam = frontier.pop(0)
+            fam = frontier.popleft()
             if fam in local_seen:
                 continue
             local_seen.add(fam)
@@ -406,8 +412,8 @@ def minimal_coherent_sets(
                         found.append(tuple(members))
                 continue
             m, d = gap
-            for m2 in candidates:
-                if _boundary_match(m, d, m2) and m2 not in fam:
+            for m2 in by_root_type.get(m.tree.concept_memberships(d), ()):
+                if m2 not in fam:
                     frontier.append(fam | {m2})
     # keep subset-minimal families only: visited by size, a family is
     # minimal unless it contains one of the minimal families kept before.

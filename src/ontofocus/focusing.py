@@ -5,7 +5,7 @@ consistency (after compiling the fixed queries away, an instance of the
 nullability problem) and determined queries must have model-independent
 answers (refuted by exhibiting two intended models that disagree).
 EMPTINESS reduces to mixed unsatisfiability over the closed predicates;
-CONSISTENCY with closed concepts is exact via type elimination;
+CONSISTENCY with atomic closed queries is exact via type elimination;
 ENTAILMENT dispatches to the closed-query procedure.
 
 Everything reports three-tier verdicts: positive, negative with an
@@ -22,6 +22,7 @@ from .closedworld import (
     intended_models_bounded,
     nullability,
     NullabilityVerdict,
+    pinned_predicates,
     theory_answers,
 )
 from .entailment import entails_under_closed_queries, EntailmentVerdict
@@ -402,26 +403,33 @@ def check_consistency(
     base: Instance,
     bounds: Bounds = Bounds(),
 ) -> ConsistencyVerdict:
-    """Does the instance admit an intended model?"""
+    """Does the instance admit an intended model?
+
+    Exact by type elimination (`closed_extension_exists`) when every
+    closed query is atomic and the ontology has no functionality.
+    Otherwise the bounded intended-model stream can confirm a model but
+    never refute one, and the unknown verdict names the feature that
+    ruled out the exact check.
+    """
     if not is_legal(base, config):
         raise ValueError("instance is not legal for the configuration")
     onto = normalize(onto)
-    config0 = config
     if config.fixed:
         elim = eliminate_fixed_queries(onto, config, fresh_bound=bounds.fresh_bound)
         onto, config = elim.discharged()
-    exact_ok = (
-        all(is_instance_query(q) for q in config.closed)
-        and not any(isinstance(a, Functional) for a in onto.axioms)
-    )
-    if exact_ok:
-        closed = [q.atoms[0].pred for q in config.closed]
-        ok = closed_extension_exists(onto, base, closed)
+    if any(isinstance(a, Functional) for a in onto.axioms):
+        excluded = "functionality"
+    elif not all(is_atomic_query(q) for q in config.closed):
+        excluded = "a non-atomic closed query"
+    else:
+        ok = closed_extension_exists(onto, base, pinned_predicates(config.closed))
         return ConsistencyVerdict("consistent" if ok else "inconsistent")
     for j in intended_models_bounded(onto, config, base, bounds.fresh_bound):
         return ConsistencyVerdict("consistent", witness=j, note="bounded witness")
     return ConsistencyVerdict(
-        "unknown", note="no intended model within the fresh-constant bound"
+        "unknown",
+        note="no intended model within the fresh-constant bound; "
+        "the exact check excludes %s" % excluded,
     )
 
 

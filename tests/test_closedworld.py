@@ -8,13 +8,19 @@ from ontofocus.closedworld import (
     in_cwa,
     in_fix,
     intended_models_bounded,
-    lite_role_closure_reduction,
     nullability,
+    pinned_predicates,
     query_suppression_axiom,
     theory_answers,
 )
 from ontofocus.errors import DialectError
-from ontofocus.oracle import AnswerSet, EMPTY, Instance, enumerate_extensions, evaluate_query
+from ontofocus.oracle import (
+    AnswerSet,
+    EMPTY,
+    Instance,
+    enumerate_extensions,
+    enumeration_is_exhaustive,
+)
 from ontofocus.syntax import (
     BOT,
     ConceptInclusion,
@@ -149,26 +155,26 @@ def test_intended_models_equal_filtered_stream_differential():
 
 
 def test_closed_extension_trivial():
-    assert closed_extension_exists(Ontology.of(), Instance.of(("A", "c")), [])
+    assert closed_extension_exists(Ontology.of(), Instance.of(("A", "c")), set())
 
 
 def test_closed_extension_blocked_witness():
     onto = Ontology.of([ExistsAxiom(A, role("r"), B)])
-    assert not closed_extension_exists(onto, Instance.of(("A", "c")), ["B"])
+    assert not closed_extension_exists(onto, Instance.of(("A", "c")), {("B", 1)})
     assert closed_extension_exists(
-        onto, Instance.of(("A", "c"), ("B", "d")), ["B"]
+        onto, Instance.of(("A", "c"), ("B", "d")), {("B", 1)}
     )
 
 
 def test_closed_extension_rejects_functionality():
     onto = Ontology.of([Functional(role("r"))])
     with pytest.raises(DialectError):
-        closed_extension_exists(onto, EMPTY, [])
+        closed_extension_exists(onto, EMPTY, set())
 
 
 def test_closed_extension_nominal_obligation():
     onto = Ontology.of([ConceptInclusion((nominal("c"),), (A,)), ConceptInclusion((A,), (BOT,))])
-    assert not closed_extension_exists(onto, EMPTY, [])
+    assert not closed_extension_exists(onto, EMPTY, set())
 
 
 def test_closed_extension_agrees_with_oracle():
@@ -191,7 +197,7 @@ def test_closed_extension_agrees_with_oracle():
                 base_atoms.append(("r", rng.choice("cd"), rng.choice("cd")))
         base = Instance.of(*base_atoms)
         closed = [c for c in ["B"] if rng.random() < 0.7]
-        exact = closed_extension_exists(onto, base, closed)
+        exact = closed_extension_exists(onto, base, {(c, 1) for c in closed})
 
         def closed_filter(j):
             return all(
@@ -211,6 +217,54 @@ def test_closed_extension_agrees_with_oracle():
             assert oracle_found is None
             checked_false += 1
     assert checked_true >= 5
+
+
+def _agrees_with_oracle(onto, base, closed_queries) -> bool:
+    """Compare the exact verdict with the first model of the bounded
+    extension stream that adds no atom of a closed predicate (a CWA
+    member, as the closed queries are atomic); returns the verdict."""
+    pinned = pinned_predicates(closed_queries)
+    exact = closed_extension_exists(onto, base, pinned)
+    model = next(enumerate_extensions(onto, base, 1, closed_queries, pinned), None)
+    if not exact:
+        assert model is None, "model %s of %s refutes the exact no" % (model, onto)
+    elif enumeration_is_exhaustive(onto, base.adom() | onto.constants()):
+        assert model is not None, "no model of %s backs the exact yes" % (onto,)
+    return exact
+
+
+def test_closed_extension_with_closed_roles_agrees_with_oracle():
+    rng = random.Random(41)
+    pool = [("A", ("c",)), ("B", ("c",)), ("r", ("c", "c")), ("s", ("c", "c"))]
+    verdicts = []
+    for _ in range(40):
+        onto = random_normal_ontology(
+            rng, n_axioms=rng.randint(2, 4), concepts=["A", "B"], roles=["r", "s"],
+            allow_func=False,
+        )
+        closed = [instance_query(c) for c in "AB" if rng.random() < 0.4] + [role_query("s")]
+        if rng.random() < 0.3:
+            closed.append(role_query("r"))
+        base = Instance(frozenset(a for a in pool if rng.random() < 0.4))
+        verdicts.append(_agrees_with_oracle(onto, base, closed))
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+    # DL-Lite ontologies with r closed, over databases with two constants
+    rng = random.Random(3)
+    for _ in range(4):
+        onto = random_normal_ontology(
+            rng, n_axioms=2, concepts=["A", "B"], roles=["r"], allow_func=False,
+            allow_rsub=False, allow_inverse=False, lite=True,
+            allow_nominal=rng.random() < 0.3,
+        )
+        for base in [
+            Instance.of(),
+            Instance.of(("A", "c")),
+            Instance.of(("r", "c", "d")),
+            Instance.of(("A", "c"), ("r", "c", "d")),
+            Instance.of(("B", "c"), ("r", "d", "c")),
+        ]:
+            _agrees_with_oracle(onto, base, [role_query("r")])
 
 
 # ---------------------------------------------------------------------------
@@ -271,89 +325,3 @@ def test_nullability_rejects_closed_role_queries():
         nullability(
             Ontology.of(), [], [role_query("r")], instance_query("A"), instance_bound=3
         )
-
-
-# ---------------------------------------------------------------------------
-# the role-closure reduction
-# ---------------------------------------------------------------------------
-
-
-def test_role_closure_identity_without_role_queries():
-    out = lite_role_closure_reduction(Ontology.of(), {"A"}, [instance_query("A")], instance_query("B"))
-    assert out.ontology is not None and not out.concept_for_role
-    assert out.closed_queries == (instance_query("A"),)
-
-
-def test_role_closure_introduces_origin_concepts():
-    onto = Ontology.of([ExistsAxiom(A, role("r"), TOP)])
-    out = lite_role_closure_reduction(onto, {"r"}, [role_query("r")], instance_query("A"))
-    names = {name for _, name in out.concept_for_role}
-    assert len(names) == 2
-    # closed queries now name the two origin concepts
-    closed_preds = {q.atoms[0].pred for q in out.closed_queries}
-    assert closed_preds == names
-    # the finiteness signature picks up the origin concepts of r
-    assert names <= out.sigma
-    # each origin concept has its collector and successor axioms
-    origin = dict(out.concept_for_role)
-    for p, name in out.concept_for_role:
-        back = named(origin[p.inverse()])
-        assert ExistsAxiom(named(name), p, TOP) in out.ontology.axioms
-        assert ForallAxiom(TOP, p, back) in out.ontology.axioms
-        assert ExistsAxiom(named(name), p, back) in out.ontology.axioms
-    assert len(out.ontology.axioms) >= len(onto.axioms) + 4
-
-
-def test_role_closure_reduction_preserves_nullability_end_to_end():
-    rng = random.Random(3)
-    agreements = 0
-    for _ in range(4):
-        onto = random_normal_ontology(
-            rng,
-            n_axioms=2,
-            concepts=["A", "B"],
-            roles=["r"],
-            allow_func=False,
-            allow_rsub=False,
-            allow_inverse=False,
-            lite=True,
-            allow_nominal=rng.random() < 0.3,
-        )
-        q = instance_query("A")
-        closed = [role_query("r")]
-        out = lite_role_closure_reduction(onto, {"r"}, closed, q)
-        reduced = nullability(out.ontology, out.sigma, out.closed_queries, q, instance_bound=2)
-
-        # direct bounded oracle over tiny databases with the role closed
-        direct_bad = None
-        for inst in _tiny_instances(rng):
-            models = [
-                j
-                for j in enumerate_extensions(
-                    onto, inst, 1, queries=[instance_query("A"), instance_query("B"), role_query("r")]
-                )
-                if j.role_pairs(role("r")) == inst.role_pairs(role("r"))
-            ]
-            if models and all(evaluate_query(j, q).tuples for j in models):
-                direct_bad = inst
-                break
-        if reduced.kind == "not_nullable":
-            assert direct_bad is not None or reduced.witness is not None
-            agreements += 1
-        elif direct_bad is not None:
-            # bounded oracle found a refuting database: the reduced
-            # procedure must not claim nullable
-            assert reduced.kind != "nullable"
-            agreements += 1
-    assert agreements >= 1
-
-
-def _tiny_instances(rng):
-    pool = [
-        Instance.of(),
-        Instance.of(("A", "c")),
-        Instance.of(("r", "c", "d")),
-        Instance.of(("A", "c"), ("r", "c", "d")),
-        Instance.of(("B", "c"), ("r", "d", "c")),
-    ]
-    return pool

@@ -28,6 +28,8 @@ from ontofocus.syntax import (
     FocusingConfiguration,
     Ontology,
     QueryAtom,
+    RoleInclusion,
+    TOP,
     Var,
     instance_query,
     named,
@@ -296,6 +298,25 @@ def test_consistency_closed_witness_requirement():
     assert check_consistency(onto, cfg, Instance.of(("A", "c"))).kind == "inconsistent"
     ok = check_consistency(onto, cfg, Instance.of(("A", "c"), ("B", "d")))
     assert ok.kind == "consistent"
+
+
+@pytest.mark.parametrize(
+    "axioms",
+    [
+        [ExistsAxiom(A, role("s"), TOP)],
+        [RoleInclusion(role("p"), role("s")), ExistsAxiom(A, role("p"), TOP)],
+        [ExistsAxiom(A, role("r"), B), ExistsAxiom(B, role("s"), TOP)],
+    ],
+    ids=["direct", "sub-role", "through-anonymous"],
+)
+def test_consistency_closed_role_obligation(axioms):
+    # with s closed, an edge carrying s joins only a base s-pair, so no
+    # anonymous element can serve an obligation over s
+    onto = Ontology.of(axioms)
+    cfg = FocusingConfiguration.of(schema={"A", "B", "s"}, closed=[role_query("s")])
+    assert check_consistency(onto, cfg, Instance.of(("A", "c"))).kind == "inconsistent"
+    served = check_consistency(onto, cfg, Instance.of(("A", "c"), ("s", "c", "d")))
+    assert served.kind == "consistent"
 
 
 def test_consistency_is_special_case_of_non_entailment():
