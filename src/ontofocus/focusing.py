@@ -83,8 +83,8 @@ class Bounds:
     Every other limit is a module constant read at call time:
     `mosaic.TILE_CEILING`, `ineq.DEFAULT_VALUE_CAP`, `ineq._NODE_BUDGET`,
     `closedworld.UNARY_TYPE_CEILING`, `closedworld._CANDIDATE_CEILING`,
-    `entailment.SET_CEILING`, `entailment.NTYPE_CEILING`,
-    `entailment.ORACLE_FRESH_BOUND` and `horn.FACT_CEILING`.
+    `entailment.SET_CEILING`, `entailment.NTYPE_CEILING` and
+    `entailment.ORACLE_FRESH_BOUND`.
     """
 
     fresh_bound: int = DEFAULT_FRESH_BOUND
@@ -364,7 +364,7 @@ def check_emptiness(
         sigma = sorted({q.atoms[0].pred for q in config.closed})
         verdict = mixed_sat(onto, sigma)
         kind = {"sat": "nonempty", "unsat": "empty", "unknown": "unknown"}[verdict.kind]
-        return EmptinessVerdict(kind, mixed=verdict)
+        return EmptinessVerdict(kind, mixed=verdict, note=verdict.note)
     # bounded fallback: look for one consistent legal instance
     for inst in _legal_instances(onto, config, bounds):
         try:

@@ -354,6 +354,8 @@ class NoSolution:
 
 @dataclass(frozen=True)
 class UnknownAtCap:
+    reason: str  # the limit that stopped the search, and the limits in force
+
     tier = "unknown"
 
 
@@ -723,6 +725,7 @@ def solve_enriched(
     ineqs = rewritten.sorted_inequations()
     groups = _cardinality_groups(ineqs)
     watchers = _watchers(rewritten.implications)
+    limits = "; limits: ineq._NODE_BUDGET = %d, value cap %d (ineq.DEFAULT_VALUE_CAP)" % (_NODE_BUDGET, value_cap)
 
     def finish(values: Dict[str, int]):
         nat_solution = {v: ExtNat(values.get(v, 0)) for v in variables}
@@ -740,7 +743,7 @@ def solve_enriched(
             if node is None:
                 stack.pop()
         if node is None:
-            return UnknownAtCap() if cut else NoSolution()
+            return UnknownAtCap("values above the value cap were cut" + limits) if cut else NoSolution()
         ones, alive, removed, bounds = node
         found = _greatest_support(ineqs + list(bounds), variables, watchers, ones, alive, removed)
         if found is None:
@@ -779,4 +782,4 @@ def solve_enriched(
         else:
             cut = True
         stack.append(iter(children))
-    return UnknownAtCap()
+    return UnknownAtCap("node budget spent" + limits)

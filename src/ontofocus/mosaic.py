@@ -506,7 +506,7 @@ def mixed_sat(
     if isinstance(result, NoSolution):
         return MixedSatVerdict("unsat")
     if isinstance(result, UnknownAtCap):
-        return MixedSatVerdict("unknown")
+        return MixedSatVerdict("unknown", note="integer search: " + result.reason)
     mapping = {tile: result.assignment[var] for tile, var in var_of.items()}
     if method == "lite":
         return MixedSatVerdict("sat", None, lite_mosaic=mapping)

@@ -38,6 +38,7 @@ from .syntax import (
     Var,
     _concept_simples,
     as_cqs,
+    generic_truth,
 )
 
 FRESH_POOL_PREFIX = "_f"
@@ -213,14 +214,7 @@ def _witnessed(inst: Instance, a: ExistsAxiom) -> FrozenSet[str]:
 def member(inst: Instance, c: Concept, x: str) -> bool:
     """Membership of a concrete constant in a concept, per the table."""
     if isinstance(c, Atomic):
-        b = c.base
-        if b.kind == "top":
-            return x in inst.adom()
-        if b.kind == "bot":
-            return False
-        if b.kind == "nominal":
-            return x == b.name
-        return (b.name, (x,)) in inst.atoms
+        return x in simple_extension(inst, c.base)
     if isinstance(c, Not):
         return x in inst.adom() and not member(inst, c.sub, x)
     if isinstance(c, And):
@@ -240,24 +234,6 @@ def member(inst: Instance, c: Concept, x: str) -> bool:
     raise TypeError("unexpected concept %r" % (c,))
 
 
-def generic_member(c: Concept) -> bool:
-    """Membership of a constant outside the active domain and outside all
-    constants mentioned anywhere: only universal restrictions hold there."""
-    if isinstance(c, Atomic):
-        return False
-    if isinstance(c, Not):
-        return False  # negation is relative to the active domain
-    if isinstance(c, And):
-        return all(generic_member(p) for p in c.parts)
-    if isinstance(c, Or):
-        return any(generic_member(p) for p in c.parts)
-    if isinstance(c, Exists):
-        return False
-    if isinstance(c, Forall):
-        return True
-    raise TypeError("unexpected concept %r" % (c,))
-
-
 def _concept_constants(c: Concept) -> FrozenSet[str]:
     return frozenset(b.name for b in _concept_simples(c) if b.kind == "nominal")
 
@@ -268,7 +244,7 @@ def concept_extension(inst: Instance, c: Concept) -> FrozenSet[str]:
     The relevant constants are adom(inst) plus the nominals in c; for
     concepts without universal restrictions this is the whole extension.
     For Forall the (co-finite) vacuous remainder of Const is elided here
-    and accounted for separately by `generic_member` in `is_model`.
+    and accounted for separately by `generic_truth` in `is_model`.
     """
     dom = inst.adom() | _concept_constants(c)
     return frozenset(x for x in dom if member(inst, c, x))
@@ -319,7 +295,7 @@ def is_model(inst: Instance, onto: Ontology) -> bool:
         for x in dom:
             if member(inst, g.lhs, x) and not member(inst, g.rhs, x):
                 return False
-        if generic_member(g.lhs) and not generic_member(g.rhs):
+        if generic_truth(g.lhs) and not generic_truth(g.rhs):
             return False
     return True
 

@@ -12,20 +12,12 @@ prefix, so fresh names never collide.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 RESERVED_PREFIX = "_"
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*$")
-
-
-def is_valid_identifier(name: str) -> bool:
-    return bool(_IDENT_RE.match(name))
-
 
 # ---------------------------------------------------------------------------
 # Roles and simple concepts
@@ -152,10 +144,6 @@ def conj(*parts: Concept) -> Concept:
     return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
-def disj(*parts: Concept) -> Concept:
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-
 # ---------------------------------------------------------------------------
 # Axioms
 # ---------------------------------------------------------------------------
@@ -250,9 +238,6 @@ class Functional:
 
     def __str__(self) -> str:
         return "func %s" % self.role
-
-
-Axiom = Union[ConceptInclusion, ExistsAxiom, ForallAxiom, RoleInclusion, Functional]
 
 
 @dataclass(frozen=True)
@@ -408,9 +393,6 @@ class Var:
         return self.name
 
 
-Term = Union[Var, str]  # plain strings are constants
-
-
 @dataclass(frozen=True)
 class QueryAtom:
     pred: str
@@ -481,9 +463,6 @@ class UCQ:
         return " | ".join(str(d) for d in self.disjuncts)
 
 
-Query = Union[CQ, UCQ]
-
-
 def cq(answer_vars, atoms, name="") -> CQ:
     return CQ(tuple(answer_vars), tuple(atoms), name)
 
@@ -496,10 +475,6 @@ def instance_query(concept_name: str, var_name: str = "x", name: str = "") -> CQ
 def role_query(role_name: str, v1: str = "x", v2: str = "y", name: str = "") -> CQ:
     a, b = Var(v1), Var(v2)
     return CQ((a, b), (QueryAtom(role_name, (a, b)),), name)
-
-
-def is_cq(q) -> bool:
-    return isinstance(q, CQ)
 
 
 def is_atomic_query(q) -> bool:
@@ -516,16 +491,6 @@ def is_atomic_query(q) -> bool:
 
 def is_instance_query(q) -> bool:
     return is_atomic_query(q) and q.atoms[0].is_concept_atom()
-
-
-def query_class(q) -> str:
-    if is_instance_query(q):
-        return "IQ"
-    if is_atomic_query(q):
-        return "AQ"
-    if isinstance(q, CQ):
-        return "CQ"
-    return "UCQ"
 
 
 def as_cqs(q) -> tuple:
@@ -605,35 +570,6 @@ def closure_of(roles: Iterable[Role], clo: dict) -> frozenset:
     for r in roles:
         out |= clo.get(r, frozenset({r}))
     return frozenset(out)
-
-
-# d1 -> d2 edges meaning: every ontology admitted by d1 is admitted by d2.
-_DIALECT_EDGES = {
-    Dialect.ELIbot: {Dialect.HornALCIF, Dialect.ALCOI},
-    Dialect.HornALCIF: {Dialect.ALCHIF},
-    Dialect.ALCHIF: {Dialect.ALCHOIF},
-    Dialect.DLLiteHF: {Dialect.DLLiteBoolHOF, Dialect.ALCHIF},
-    Dialect.DLLiteBoolHOF: {Dialect.ALCHOIF},
-    Dialect.ALCO: {Dialect.ALCOI},
-    Dialect.ALCOI: {Dialect.ALCHOI},
-    Dialect.ALCHOI: {Dialect.ALCHOIF},
-}
-
-
-def dialect_le(d1: Dialect, d2: Dialect) -> bool:
-    """Reflexive-transitive reachability in the dialect inclusion order."""
-    if d1 == d2:
-        return True
-    seen, stack = set(), [d1]
-    while stack:
-        d = stack.pop()
-        for nxt in _DIALECT_EDGES.get(d, ()):
-            if nxt == d2:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 # Most specific first; used to break ties between incomparable minima.

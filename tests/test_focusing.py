@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ontofocus import entailment, mosaic
+from ontofocus import entailment, ineq, mosaic
 from ontofocus.closedworld import intended_models_bounded
 from ontofocus.entailment import entails_under_closed_queries
 from ontofocus.errors import ResourceCeilingError, ScopeError
@@ -270,6 +270,24 @@ def test_emptiness_tile_ceiling_raises(monkeypatch):
     monkeypatch.setattr(mosaic, "TILE_CEILING", 1)
     with pytest.raises(ResourceCeilingError):
         check_emptiness(onto, cfg)
+
+
+def test_emptiness_unknown_names_the_solver_limits(monkeypatch):
+    onto = Ontology.of(
+        [
+            ConceptInclusion((nominal("c"),), (A,)),
+            ExistsAxiom(A, role("r"), B),
+            ExistsAxiom(B, role("r"), B),
+        ]
+    )
+    cfg = FocusingConfiguration.of(schema={"B"}, closed=[instance_query("B")])
+    monkeypatch.setattr(ineq, "_NODE_BUDGET", 0)
+    mixed = mixed_sat(onto, {"B"})
+    assert mixed.kind == "unknown"
+    for name in ("ineq._NODE_BUDGET = 0", "ineq.DEFAULT_VALUE_CAP"):
+        assert name in mixed.note
+    verdict = check_emptiness(onto, cfg)
+    assert verdict.kind == "unknown" and verdict.note == mixed.note
 
 
 # ---------------------------------------------------------------------------

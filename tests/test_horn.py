@@ -2,27 +2,15 @@ import random
 
 import pytest
 
-from ontofocus.errors import DialectError
-from ontofocus.horn import (
-    Saturation,
-    compute_sigma_star,
-    conj,
-    entails_subsumption,
-    horn_mixed_sat,
-    reverse_sigma_cycles,
-)
+from ontofocus.horn import horn_mixed_sat
 from ontofocus.mosaic import mixed_sat
-from ontofocus.oracle import EMPTY, Instance, enumerate_extensions, is_model
+from ontofocus.oracle import Instance, enumerate_extensions
 from ontofocus.syntax import (
     BOT,
     ConceptInclusion,
     ExistsAxiom,
-    Exists,
-    Atomic,
     Functional,
-    GeneralInclusion,
     Ontology,
-    TOP,
     inv,
     named,
     nominal,
@@ -31,7 +19,7 @@ from ontofocus.syntax import (
 
 from genutil import random_dllite_hf, random_horn_alcif
 
-A, B, C = named("A"), named("B"), named("C")
+A, B = named("A"), named("B")
 
 CHAIN = Ontology.of(
     [
@@ -41,100 +29,6 @@ CHAIN = Ontology.of(
         Functional(inv("r")),
     ]
 )
-
-
-def test_dialect_gate():
-    non_horn = Ontology.of([ConceptInclusion((A,), (B, C))])
-    with pytest.raises(DialectError):
-        entails_subsumption(non_horn, {"A"}, B)
-
-
-def test_entails_top_always():
-    assert entails_subsumption(Ontology.of(), {"A"}, TOP)
-
-
-def test_entails_chaining():
-    onto = Ontology.of([ConceptInclusion((A,), (B,)), ConceptInclusion((B,), (C,))])
-    assert entails_subsumption(onto, {"A"}, C)
-    assert not entails_subsumption(onto, {"C"}, A)
-
-
-def test_entails_member_of_conjunction():
-    assert entails_subsumption(Ontology.of(), {"A", "B"}, A)
-
-
-def test_entails_existential():
-    onto = Ontology.of([ExistsAxiom(A, role("r"), B), ConceptInclusion((B,), (C,))])
-    got = entails_subsumption(onto, {"A"}, Exists(role("r"), Atomic(C)))
-    assert got
-
-
-def test_saturation_sound_wrt_bounded_models():
-    # every derived atomic subsumption holds pointwise in every bounded model
-    rng = random.Random(42)
-    for _ in range(12):
-        onto = random_horn_alcif(rng, n_axioms=3)
-        names = sorted(onto.concept_names())
-        if not names:
-            continue
-        k = frozenset(names[:1])
-        sat = Saturation(onto)
-        sat.add_conjunction(k)
-        derived = {a for a in sat.atoms[k] if a not in k}
-        if not derived:
-            continue
-        seed = Instance.of(*[(a, "c") for a in sorted(k)])
-        for m in enumerate_extensions(onto, seed, 1):
-            for a in derived:
-                assert (a, ("c",)) in m.atoms, "%s did not force %s" % (onto, a)
-
-
-def test_sigma_star_base_and_step():
-    onto = Ontology.of([ConceptInclusion((B,), (A,))])
-    star, _ = compute_sigma_star(onto, {"A"})
-    assert conj("B") in star and conj("A") in star
-
-    star_empty, _ = compute_sigma_star(onto, set())
-    assert star_empty == set()
-
-    star_chain, _ = compute_sigma_star(CHAIN, {"B"})
-    assert conj("B") in star_chain
-    assert conj("A") in star_chain  # reaches B through r with func(r-)
-
-
-def test_reverse_adds_backward_existential():
-    star, _ = compute_sigma_star(CHAIN, {"B"})
-    rev = reverse_sigma_cycles(CHAIN, star)
-    assert rev.axioms == CHAIN.axioms
-    shapes = {str(g) for g in rev.general_axioms}
-    assert any("ex r-" in s and "B" in s for s in shapes), shapes
-
-
-def test_reverse_idempotent():
-    star, _ = compute_sigma_star(CHAIN, {"B"})
-    rev1 = reverse_sigma_cycles(CHAIN, star)
-    rev2 = reverse_sigma_cycles(rev1, star)
-    assert rev1.axioms == rev2.axioms
-    assert rev1.general_axioms == rev2.general_axioms
-
-
-def test_no_cycles_means_no_reversal():
-    onto = Ontology.of([ExistsAxiom(A, role("r"), B)])
-    star, _ = compute_sigma_star(onto, {"B"})
-    rev = reverse_sigma_cycles(onto, star)
-    assert not rev.general_axioms
-
-
-def test_cycles_are_reversed_per_predicate():
-    star, sat0 = compute_sigma_star(CHAIN, {"B"})
-    sat = Saturation(CHAIN)
-    cycles = sat.find_cycles(star)
-    assert cycles  # the one-step B cycle
-    for cyc in cycles:
-        assert not sat.is_reversed(cyc)
-    sat.reverse_cycles(star)
-    for cyc in cycles:
-        assert sat.is_reversed(cyc)
 
 
 def test_horn_mixed_sat_trivial():
@@ -188,10 +82,19 @@ def random_seed_instance(rng, onto, max_atoms=2):
     return Instance.of(*atoms)
 
 
+# horn_mixed_sat's kinds on the 30 cases below, as the saturation calculus
+# with cycle reversion (Ibanez-Garcia, Lutz and Schneider, KR 2014)
+# decided them before horn_mixed_sat was reduced to the nominal encoding.
+GOLDEN_KINDS = {
+    0: ["unsat"] + ["sat"] * 14,
+    1: ["sat"] * 5 + ["unsat"] + ["sat"] * 8 + ["unsat"],
+}
+
+
 @pytest.mark.parametrize("seed_val", [0, 1])
 def test_dual_path_agreement_mini(seed_val):
     rng = random.Random(500 + seed_val)
-    agreements = 0
+    kinds = []
     for _ in range(15):
         onto = random_dllite_hf(rng, n_axioms=3)
         inst = random_seed_instance(rng, onto)
@@ -199,18 +102,8 @@ def test_dual_path_agreement_mini(seed_val):
         for name in sorted(onto.concept_names()):
             if rng.random() < 0.5:
                 sigma.add(name)
-        horn_verdict = horn_mixed_sat(onto, inst, sigma)
-        encoded = onto.union(nominal_encoding(inst))
-        mosaic_verdict = mixed_sat(encoded, sigma, method="general")
-        if mosaic_verdict.kind == "unknown":
-            continue
-        assert horn_verdict.kind == mosaic_verdict.kind, "%s | seed %s | sigma %s" % (
-            onto,
-            inst,
-            sigma,
-        )
-        agreements += 1
-    assert agreements >= 12
+        kinds.append(horn_mixed_sat(onto, inst, sigma).kind)
+    assert kinds == GOLDEN_KINDS[seed_val]
 
 
 def test_never_unsat_when_oracle_finds_sigma_finite_model():

@@ -2,8 +2,9 @@
 
 A top-level import that the module never reads hides the real
 dependencies between the layers, and a package import inside a function
-hides them from anyone reading the module's head.  No linter ships with
-the project, so these tests walk the source with `ast`.
+hides them from anyone reading the module's head.  A top-level
+definition that nothing reads is dead code.  No linter ships with the
+project, so these tests walk the source with `ast`.
 """
 
 import ast
@@ -12,7 +13,8 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ontofocus")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "ontofocus")
 MODULES = sorted(
     p for p in glob.glob(os.path.join(PACKAGE, "*.py")) if os.path.basename(p) != "__init__.py"
 )
@@ -51,3 +53,39 @@ def test_no_package_import_inside_a_function(path):
         if isinstance(node, ast.ImportFrom) and node.level > 0
     }
     assert not lines, "function-local package imports at lines %s" % sorted(lines)
+
+
+def _reads(tree):
+    """Names read anywhere in tree: as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _defined(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_top_level_definition_is_read():
+    readers = [
+        p
+        for d in ("src/ontofocus", "tests", "perfbench")
+        for p in glob.glob(os.path.join(ROOT, d, "*.py"))
+    ]
+    read = {name for p in readers for name in _reads(_tree(p))}
+    dead = sorted(
+        "%s.%s" % (os.path.basename(p)[:-3], name)
+        for p in MODULES
+        for name in _defined(_tree(p))
+        if name not in read and not name.startswith("__")
+    )
+    assert not dead, "defined but never read: %s" % dead

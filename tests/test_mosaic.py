@@ -225,6 +225,17 @@ def test_lite_system_has_functional_equality():
     assert len(rows) >= 2
 
 
+def _lite_witness_holds(onto, sigma, verdict) -> bool:
+    """Check a lite `sat` verdict as the benchmark does: the system rebuilt
+    over the witness's tiles accepts its multiplicities."""
+    if verdict.lite_mosaic is None:
+        return is_model(EMPTY, onto)
+    onto2, sigma2 = eliminate_closed_roles(onto, sigma)
+    tiles = sorted(verdict.lite_mosaic, key=LiteTile.sort_key)
+    system, var_of = build_lite_mosaic_system(onto2, sigma2, tiles)
+    return check_solution(system, {var_of[t]: n for t, n in verdict.lite_mosaic.items()})
+
+
 def test_dual_path_agreement_mini():
     rng = random.Random(31)
     agreements = 0
@@ -232,6 +243,8 @@ def test_dual_path_agreement_mini():
         onto = random_dllite_bool_hof(rng, n_axioms=3, allow_nominal=rng.random() < 0.4)
         sigma = {"A"} if rng.random() < 0.7 else {"A", "B"}
         lite = mixed_sat(onto, sigma, method="lite")
+        if lite.kind == "sat":
+            assert _lite_witness_holds(onto, sigma, lite), str(onto)
         general = mixed_sat(onto, sigma, method="general")
         if "unknown" in (lite.kind, general.kind):
             continue

@@ -21,7 +21,6 @@ from ontofocus.syntax import (
     Role,
     RoleInclusion,
     classify_dialect,
-    dialect_le,
     inv,
     named,
     nominal,
@@ -183,7 +182,6 @@ def test_dialect_functional_subrole_escapes_dllite():
         ]
     )
     d = classify_dialect(onto)
-    assert not dialect_le(d, Dialect.DLLiteBoolHOF)
     # least admitting dialect for these two axioms (no nominals involved)
     assert d == Dialect.ALCHIF
 
