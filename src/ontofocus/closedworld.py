@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
-from .errors import DialectError, ResourceCeilingError
+from .errors import DialectError, ResourceCeilingError, Verdict
 from .oracle import (
     AnswerSet,
     EMPTY,
@@ -186,7 +186,7 @@ def closed_extension_exists(onto: Ontology, base: Instance, closed) -> bool:
     domain = sorted(base.adom()) + pinned
 
     if 2 ** len(concepts) > UNARY_TYPE_CEILING:
-        raise ResourceCeilingError("type space exceeds ceiling")
+        raise ResourceCeilingError("type space exceeds closedworld.UNARY_TYPE_CEILING")
 
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
     exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
@@ -245,7 +245,7 @@ def closed_extension_exists(onto: Ontology, base: Instance, closed) -> bool:
     for opts in options:
         combos *= len(opts)
     if combos > _CANDIDATE_CEILING:
-        raise ResourceCeilingError("restriction search space exceeds ceiling")
+        raise ResourceCeilingError("restriction search exceeds closedworld._CANDIDATE_CEILING")
 
     for assignment in itertools.product(*options):
         mems = {
@@ -348,16 +348,10 @@ def _candidate_works(
 
 
 @dataclass(frozen=True)
-class NullabilityVerdict:
-    kind: str  # "nullable" | "not_nullable" | "unknown"
+class NullabilityVerdict(Verdict):
+    POSITIVE = "nullable"  # or "not_nullable" or "unknown"
     witness: Optional[Instance] = None
     paper_bound: int = 0
-
-    @property
-    def tier(self) -> str:
-        return {"nullable": "positive", "not_nullable": "negative", "unknown": "unknown"}[
-            self.kind
-        ]
 
 
 def query_suppression_axiom(q: CQ):
@@ -374,6 +368,18 @@ def query_suppression_axiom(q: CQ):
 def exact_instance_bound(onto: Ontology) -> int:
     """Witness instances need at most 2^|simple concepts| constants."""
     return 2 ** len(onto.simple_concepts())
+
+
+def instance_bound_gap(onto: Ontology, instance_bound: int) -> str:
+    """"" when instance_bound reaches `exact_instance_bound`, else the
+    note of the unknown verdict that the shortfall leaves."""
+    bound = exact_instance_bound(onto)
+    if instance_bound >= bound:
+        return ""
+    return "instance_bound %d is below the witness bound %d = 2^|simple concepts|" % (
+        instance_bound,
+        bound,
+    )
 
 
 def nullability(
@@ -412,6 +418,5 @@ def nullability(
         if closed_extension_exists(suppressed, inst, closed):
             continue
         return NullabilityVerdict("not_nullable", inst, bound)
-    if instance_bound >= bound:
-        return NullabilityVerdict("nullable", None, bound)
-    return NullabilityVerdict("unknown", None, bound)
+    gap = instance_bound_gap(onto, instance_bound)
+    return NullabilityVerdict("unknown" if gap else "nullable", None, bound, note=gap)

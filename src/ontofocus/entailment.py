@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .closedworld import in_cwa, pinned_predicates
-from .errors import DialectError, ResourceCeilingError
+from .errors import DialectError, ResourceCeilingError, Verdict
 from .oracle import (
     Instance,
     _axiom_holds,
@@ -143,7 +143,6 @@ class NType:
 
     base: Instance
     root: str
-    nodes: tuple  # fresh node names, root first
     tree_atoms: frozenset
 
     def combined(self) -> Instance:
@@ -173,7 +172,7 @@ def _base_candidates(onto: Ontology, base: Instance, extra_concepts) -> Iterator
         a for a in candidate_atoms(concepts, roles, dom) if a not in base.atoms
     ]
     if 2 ** len(pool) > SET_CEILING:
-        raise ResourceCeilingError("base restriction space exceeds ceiling")
+        raise ResourceCeilingError("base restriction space exceeds entailment.SET_CEILING")
     checked = [a for a in onto.sorted_axioms() if not isinstance(a, ExistsAxiom)]
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
@@ -237,14 +236,11 @@ def enumerate_ntypes(
                     atoms: Set[tuple] = set()
                     for a in sorted(root_t):
                         atoms.add((a, (root,)))
-                    nodes = [root]
                     counter = 2
-                    valid = True
                     for kind, r, target in combo:
                         if kind == "fresh":
                             child = NODE_PREFIX + str(counter)
                             counter += 1
-                            nodes.append(child)
                             for cname in sorted(target):
                                 atoms.add((cname, (child,)))
                             endpoint = child
@@ -261,17 +257,12 @@ def enumerate_ntypes(
                                 atoms.add((s.name, (root, c)))
                             else:
                                 atoms.add((s.name, (c, root)))
-                    nt = NType(
-                        base_restriction,
-                        root,
-                        tuple(nodes),
-                        frozenset(atoms),
-                    )
+                    nt = NType(base_restriction, root, frozenset(atoms))
                     combined = nt.combined()
                     if all(_axiom_holds(combined, a) for a in tree_axioms):
                         out.append(nt)
                         if len(out) > NTYPE_CEILING:
-                            raise ResourceCeilingError("n-type count exceeds ceiling")
+                            raise ResourceCeilingError("n-types exceed entailment.NTYPE_CEILING")
     # drop structural duplicates (same combined atoms)
     seen = set()
     unique = []
@@ -436,17 +427,9 @@ def minimal_coherent_sets(
 
 
 @dataclass(frozen=True)
-class EntailmentVerdict:
-    kind: str  # "entailed" | "not_entailed" | "unknown"
-    counterexample: Optional[tuple] = None  # coherent family of NType
+class EntailmentVerdict(Verdict):
+    POSITIVE = "entailed"  # or "not_entailed" or "unknown"
     counter_model: Optional[Instance] = None
-    note: str = ""
-
-    @property
-    def tier(self) -> str:
-        return {"entailed": "positive", "not_entailed": "negative", "unknown": "unknown"}[
-            self.kind
-        ]
 
 
 def entails_under_closed_queries(
@@ -479,17 +462,18 @@ def entails_under_closed_queries(
 
     types = build_type_links(onto)
 
+    # why `entailed` is out of reach, in the order first seen
+    causes: Dict[str, None] = {}
     try:
         if n != 1:
-            raise ResourceCeilingError("tree depth %d exceeds the supported bound" % n)
-        complete = True
+            raise ResourceCeilingError("tree depth %d exceeds the supported bound 1" % n)
         for restriction in _base_candidates(
             onto, base, _query_concepts(closed_queries, q)
         ):
             ntypes = enumerate_ntypes(onto, restriction, adom0, types)
             families, fam_complete = minimal_coherent_sets(onto, ntypes, adom0)
             if not fam_complete:
-                complete = False
+                causes["coherent-family search truncated at entailment.SET_CEILING"] = None
             # the family with no trees at all, valid when the restriction
             # fulfils every database obligation itself
             if next(_open_obligations(onto, restriction, adom0), None) is None:
@@ -504,13 +488,16 @@ def entails_under_closed_queries(
                     continue
                 confirmed = _confirm_counter_model(onto, base, closed_queries, q, union)
                 if confirmed is not None:
-                    return EntailmentVerdict("not_entailed", fam, confirmed)
-                complete = False
+                    return EntailmentVerdict("not_entailed", counter_model=confirmed)
+                causes[
+                    "the oracle confirmed no candidate counter-model within "
+                    "entailment.ORACLE_FRESH_BOUND fresh constants"
+                ] = None
     except ResourceCeilingError as exc:
         return EntailmentVerdict("unknown", note=str(exc))
-    if complete:
-        return EntailmentVerdict("entailed")
-    return EntailmentVerdict("unknown", note="search truncated at a ceiling")
+    if causes:
+        return EntailmentVerdict("unknown", note="; ".join(causes))
+    return EntailmentVerdict("entailed")
 
 
 def _query_concepts(closed_queries, q):

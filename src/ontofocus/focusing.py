@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .closedworld import (
     closed_extension_exists,
+    instance_bound_gap,
     intended_models_bounded,
     nullability,
     NullabilityVerdict,
@@ -26,7 +27,7 @@ from .closedworld import (
     theory_answers,
 )
 from .entailment import entails_under_closed_queries, EntailmentVerdict
-from .errors import ScopeError
+from .errors import ScopeError, Verdict
 from .mosaic import mixed_sat, MixedSatVerdict
 from .oracle import (
     Instance,
@@ -221,37 +222,35 @@ def eliminate_fixed_queries(
 
 
 @dataclass(frozen=True)
-class DeterminacyVerdict:
-    kind: str  # "holds" | "refuted" | "unknown"
-    certified: bool = False
+class DeterminacyVerdict(Verdict):
+    POSITIVE = "holds"  # or "refuted" or "unknown"
     witness: Optional[tuple] = None  # (instance, model1, model2, query, tuple)
 
-    @property
-    def tier(self) -> str:
-        if not self.certified:
-            return "unknown"
-        return {"holds": "positive", "refuted": "negative", "unknown": "unknown"}[self.kind]
 
-
-def _certified_exhaustive(onto: Ontology, bounds: Bounds, queries) -> bool:
-    """The bounded double enumeration provably covers all disagreements:
-    restriction-closed ontology, enough fresh constants for any query
-    match, and instances up to the quotient bound."""
+def _not_exhaustive(onto: Ontology, bounds: Bounds, queries) -> str:
+    """Why the bounded double enumeration may miss a disagreement, or ""
+    when it provably covers them all: restriction-closed ontology, enough
+    fresh constants for any query match, and instances up to the
+    quotient bound."""
     if any(isinstance(a, ExistsAxiom) for a in onto.axioms):
-        return False
+        return "an existential axiom makes the bounded search inexhaustive"
     max_vars = max([0] + [len(q.variables()) for q in queries])
     if bounds.fresh_bound < max_vars:
-        return False
-    return bounds.instance_bound >= 2 ** len(onto.simple_concepts())
+        return "fresh_bound %d is below a determined query's %d variables" % (
+            bounds.fresh_bound,
+            max_vars,
+        )
+    return instance_bound_gap(onto, bounds.instance_bound)
 
 
 def check_determinacy(
     onto: Ontology, config: FocusingConfiguration, bounds: Bounds = Bounds()
 ) -> DeterminacyVerdict:
     """Search legal instances and pairs of intended models for an answer
-    disagreement on a determined query."""
+    disagreement on a determined query; "holds" only when the search is
+    exhaustive, otherwise "unknown" with the reason it is not."""
     if not config.determined:
-        return DeterminacyVerdict("holds", certified=True)
+        return DeterminacyVerdict("holds")
     onto = normalize(onto)
     if config.fixed:
         elim = eliminate_fixed_queries(onto, config, fresh_bound=bounds.fresh_bound)
@@ -267,11 +266,9 @@ def check_determinacy(
             for q, t1 in zip(config.determined, first_answers):
                 t2 = evaluate_query(j, q).tuples
                 if t1 != t2:
-                    return DeterminacyVerdict(
-                        "refuted", certified=True, witness=(inst, first, j, q, min(t1 ^ t2))
-                    )
-    certified = _certified_exhaustive(onto, bounds, config.determined)
-    return DeterminacyVerdict("holds", certified=certified)
+                    return DeterminacyVerdict("refuted", (inst, first, j, q, min(t1 ^ t2)))
+    gap = _not_exhaustive(onto, bounds, config.determined)
+    return DeterminacyVerdict("unknown", note=gap) if gap else DeterminacyVerdict("holds")
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +277,10 @@ def check_determinacy(
 
 
 @dataclass(frozen=True)
-class FocusVerdict:
-    kind: str  # "solution" | "not_solution" | "unknown"
+class FocusVerdict(Verdict):
+    POSITIVE = "solution"  # or "not_solution" or "unknown"
     consistency_condition: Optional[NullabilityVerdict] = None
     determinacy_condition: Optional[DeterminacyVerdict] = None
-    note: str = ""
-
-    @property
-    def tier(self) -> str:
-        return {"solution": "positive", "not_solution": "negative", "unknown": "unknown"}[
-            self.kind
-        ]
 
 
 def check_focus(
@@ -300,7 +290,8 @@ def check_focus(
 
     Condition 1 (fixing never destroys consistency) becomes a
     nullability question about the fixed-query collector; condition 2 is
-    the determinacy check.
+    the determinacy check on the theory with that collector discharged.
+    An unknown verdict's note carries the notes of its unknown conditions.
     """
     onto = normalize(onto)
     cond1: Optional[NullabilityVerdict] = None
@@ -320,15 +311,17 @@ def check_focus(
         )
         if cond1.kind == "not_nullable":
             return FocusVerdict("not_solution", cond1, None)
+        onto, config = elim.discharged()
     cond2 = check_determinacy(onto, config, bounds)
     if cond2.kind == "refuted":
         return FocusVerdict("not_solution", cond1, cond2)
-    unknown1 = cond1 is not None and cond1.kind == "unknown"
-    unknown2 = not cond2.certified
-    if unknown1 or unknown2:
-        return FocusVerdict(
-            "unknown", cond1, cond2, note="conditions hold at the search bounds"
-        )
+    notes = [
+        "condition %d: %s" % (i, c.note)
+        for i, c in ((1, cond1), (2, cond2))
+        if c is not None and c.kind == "unknown"
+    ]
+    if notes:
+        return FocusVerdict("unknown", cond1, cond2, note="; ".join(notes))
     return FocusVerdict("solution", cond1, cond2)
 
 
@@ -338,15 +331,10 @@ def check_focus(
 
 
 @dataclass(frozen=True)
-class EmptinessVerdict:
-    kind: str  # "empty" | "nonempty" | "unknown"
+class EmptinessVerdict(Verdict):
+    POSITIVE = "empty"  # or "nonempty" or "unknown"
     mixed: Optional[MixedSatVerdict] = None
     witness: Optional[Instance] = None
-    note: str = ""
-
-    @property
-    def tier(self) -> str:
-        return {"empty": "positive", "nonempty": "negative", "unknown": "unknown"}[self.kind]
 
 
 def check_emptiness(
@@ -359,22 +347,25 @@ def check_emptiness(
     fragment a bounded search can only refute.
     """
     onto = normalize(onto)
-    in_scope = not config.fixed and all(is_atomic_query(q) for q in config.closed)
-    if in_scope:
+    if config.fixed:
+        excluded = "fixed queries"
+    elif not all(is_atomic_query(q) for q in config.closed):
+        excluded = "a non-atomic closed query"
+    else:
         sigma = sorted({q.atoms[0].pred for q in config.closed})
         verdict = mixed_sat(onto, sigma)
         kind = {"sat": "nonempty", "unsat": "empty", "unknown": "unknown"}[verdict.kind]
         return EmptinessVerdict(kind, mixed=verdict, note=verdict.note)
     # bounded fallback: look for one consistent legal instance
     for inst in _legal_instances(onto, config, bounds):
-        try:
-            for _ in intended_models_bounded(onto, config, inst, bounds.fresh_bound):
-                return EmptinessVerdict(
-                    "nonempty", witness=inst, note="bounded fallback"
-                )
-        except ScopeError:
-            break
-    return EmptinessVerdict("unknown", note="bounded fallback found no member")
+        for _ in intended_models_bounded(onto, config, inst, bounds.fresh_bound):
+            return EmptinessVerdict("nonempty", witness=inst, note="bounded fallback")
+    return EmptinessVerdict(
+        "unknown",
+        note="no legal instance within instance_bound %d has an intended model within "
+        "fresh_bound %d; the exact check excludes %s"
+        % (bounds.instance_bound, bounds.fresh_bound, excluded),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +374,9 @@ def check_emptiness(
 
 
 @dataclass(frozen=True)
-class ConsistencyVerdict:
-    kind: str  # "consistent" | "inconsistent" | "unknown"
+class ConsistencyVerdict(Verdict):
+    POSITIVE = "consistent"  # or "inconsistent" or "unknown"
     witness: Optional[Instance] = None
-    note: str = ""
-
-    @property
-    def tier(self) -> str:
-        return {
-            "consistent": "positive",
-            "inconsistent": "negative",
-            "unknown": "unknown",
-        }[self.kind]
 
 
 def check_consistency(
@@ -428,8 +410,8 @@ def check_consistency(
         return ConsistencyVerdict("consistent", witness=j, note="bounded witness")
     return ConsistencyVerdict(
         "unknown",
-        note="no intended model within the fresh-constant bound; "
-        "the exact check excludes %s" % excluded,
+        note="no intended model within fresh_bound %d; the exact check excludes %s"
+        % (bounds.fresh_bound, excluded),
     )
 
 

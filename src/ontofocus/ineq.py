@@ -344,19 +344,15 @@ def backward_translation(system: EnrichedIneqSystem, solution: Dict[str, ExtNat]
 class Solution:
     assignment: dict
 
-    tier = "positive"
-
 
 @dataclass(frozen=True)
 class NoSolution:
-    tier = "negative"
+    """The system has no solution over N*."""
 
 
 @dataclass(frozen=True)
 class UnknownAtCap:
     reason: str  # the limit that stopped the search, and the limits in force
-
-    tier = "unknown"
 
 
 # ---------------------------------------------------------------------------

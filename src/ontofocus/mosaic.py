@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import DialectError, ResourceCeilingError
+from .errors import DialectError, ResourceCeilingError, Verdict
 from .ineq import (
     EnrichedIneqSystem,
     ExtNat,
@@ -123,9 +123,6 @@ class Mosaic:
     def value(self, tile) -> ExtNat:
         return self.as_dict().get(tile, ZERO)
 
-    def support(self) -> list:
-        return [t for t, n in self.multiplicity if n > ZERO]
-
     def all_finite(self) -> bool:
         return all(not n.is_infinite for _, n in self.multiplicity)
 
@@ -133,14 +130,6 @@ class Mosaic:
 # ---------------------------------------------------------------------------
 # Vocabulary helpers
 # ---------------------------------------------------------------------------
-
-
-def _in_type(b: SimpleConcept, t: UnaryType) -> bool:
-    if b == TOP:
-        return True
-    if b == BOT:
-        return False
-    return b in t
 
 
 def enumerate_types(onto: Ontology) -> List[UnaryType]:
@@ -151,7 +140,7 @@ def enumerate_types(onto: Ontology) -> List[UnaryType]:
         key=lambda b: (b.kind, b.name),
     )
     if 2 ** len(simples) > TILE_CEILING:
-        raise ResourceCeilingError("type space exceeds ceiling")
+        raise ResourceCeilingError("type space exceeds mosaic.TILE_CEILING")
     inclusions = [a for a in onto.sorted_axioms() if isinstance(a, ConceptInclusion)]
     out = []
     for k in range(len(simples) + 1):
@@ -161,9 +150,7 @@ def enumerate_types(onto: Ontology) -> List[UnaryType]:
             t: UnaryType = frozenset(chosen) | {TOP}
             ok = True
             for a in inclusions:
-                if all(_in_type(b, t) for b in a.lhs) and not any(
-                    _in_type(b, t) for b in a.rhs
-                ):
+                if all(b in t for b in a.lhs) and not any(b in t for b in a.rhs):
                     ok = False
                     break
             if ok:
@@ -204,9 +191,9 @@ def _edge_compatible(onto: Ontology, src: UnaryType, rs: RoleSet, dst: UnaryType
     """Value restrictions across one labelled edge, in both directions."""
     for a in onto.axioms:
         if isinstance(a, ForallAxiom):
-            if a.role in rs and _in_type(a.lhs, src) and not _in_type(a.filler, dst):
+            if a.role in rs and a.lhs in src and a.filler not in dst:
                 return False
-            if a.role.inverse() in rs and _in_type(a.lhs, dst) and not _in_type(a.filler, src):
+            if a.role.inverse() in rs and a.lhs in dst and a.filler not in src:
                 return False
     return True
 
@@ -248,7 +235,7 @@ def enumerate_tiles(onto: Ontology) -> List[Tile]:
     witness_configs: Dict[UnaryType, List[FrozenSet]] = {}
     witness_classes: Set[Tuple[UnaryType, RoleSet, UnaryType]] = set()
     for t in types:
-        obligations = [a for a in exists_axioms if _in_type(a.lhs, t)]
+        obligations = [a for a in exists_axioms if a.lhs in t]
         configs = []
         for partition in _set_partitions(obligations):
             group_choices = []
@@ -258,7 +245,7 @@ def enumerate_tiles(onto: Ontology) -> List[Tile]:
                 targets = [
                     t2
                     for t2 in types
-                    if all(_in_type(a.filler, t2) for a in group)
+                    if all(a.filler in t2 for a in group)
                     and _edge_compatible(onto, t, rs, t2)
                 ]
                 if not targets:
@@ -313,7 +300,7 @@ def enumerate_tiles(onto: Ontology) -> List[Tile]:
                         seen_tiles.add(tile)
                         tiles.append(tile)
                         if len(tiles) > TILE_CEILING:
-                            raise ResourceCeilingError("tile count exceeds ceiling")
+                            raise ResourceCeilingError("tile count exceeds mosaic.TILE_CEILING")
     tiles.sort(key=Tile.sort_key)
     return tiles
 
@@ -464,39 +451,26 @@ def check_mosaic(onto: Ontology, sigma: Iterable[str], mosaic: Mosaic) -> bool:
 
 
 @dataclass(frozen=True)
-class MixedSatVerdict:
-    kind: str  # "sat" | "unsat" | "unknown"
+class MixedSatVerdict(Verdict):
+    POSITIVE = "sat"  # or "unsat" or "unknown"
     mosaic: Optional[Mosaic] = None
     lite_mosaic: Optional[dict] = None
-    note: str = ""
-
-    @property
-    def tier(self) -> str:
-        return {"sat": "positive", "unsat": "negative", "unknown": "unknown"}[self.kind]
 
 
-def mixed_sat(
-    onto: Ontology,
-    sigma: Iterable[str],
-    method: str = "auto",
-) -> MixedSatVerdict:
+def mixed_sat(onto: Ontology, sigma: Iterable[str]) -> MixedSatVerdict:
     """Is there a model of onto in which every sigma predicate is finite?
 
-    method: "auto" dispatches DL-Lite ontologies to the lite tile
-    pipeline, everything else to the general one; "general" and "lite"
-    force a pipeline.
+    DL-Lite ontologies go to the lite tile pipeline, everything else to
+    the general one.
     """
     if not onto.is_normalized():
         raise DialectError("mixed_sat requires a normalized ontology")
     sigma = frozenset(sigma)
     if is_model(EMPTY, onto):
         return MixedSatVerdict("sat", None, note="empty instance is a model")
-    if method == "auto":
-        method = (
-            "lite" if classify_dialect(onto) in (Dialect.DLLiteBoolHOF, Dialect.DLLiteHF) else "general"
-        )
+    lite = classify_dialect(onto) in (Dialect.DLLiteBoolHOF, Dialect.DLLiteHF)
     onto2, sigma2 = eliminate_closed_roles(onto, sigma)
-    if method == "lite":
+    if lite:
         tiles = enumerate_lite_tiles(onto2)
         system, var_of = build_lite_mosaic_system(onto2, sigma2, tiles)
     else:
@@ -508,7 +482,7 @@ def mixed_sat(
     if isinstance(result, UnknownAtCap):
         return MixedSatVerdict("unknown", note="integer search: " + result.reason)
     mapping = {tile: result.assignment[var] for tile, var in var_of.items()}
-    if method == "lite":
+    if lite:
         return MixedSatVerdict("sat", None, lite_mosaic=mapping)
     mosaic = Mosaic.of(mapping)
     if not check_mosaic(onto2, sigma2, mosaic):
@@ -524,7 +498,7 @@ def mixed_sat(
 def _is_r_sink(onto: Ontology, t: UnaryType, r: Role, clo) -> bool:
     for a in onto.axioms:
         if isinstance(a, ForallAxiom) and a.lhs == TOP:
-            if a.role in clo.get(r, frozenset({r})) and not _in_type(a.filler, t):
+            if a.role in clo.get(r, frozenset({r})) and a.filler not in t:
                 return False
     return True
 
@@ -539,7 +513,7 @@ def enumerate_lite_tiles(onto: Ontology) -> List[LiteTile]:
     tiles: Set[LiteTile] = set()
     for t in types:
         required = closure_of(
-            (a.role for a in exists_axioms if _in_type(a.lhs, t)), clo
+            (a.role for a in exists_axioms if a.lhs in t), clo
         )
         optional = [r for r in roles if r not in required]
         for k in range(len(optional) + 1):
@@ -549,7 +523,7 @@ def enumerate_lite_tiles(onto: Ontology) -> List[LiteTile]:
                 if all(_is_r_sink(onto, t, r.inverse(), clo) for r in rset):
                     tiles.add(LiteTile(t, rset))
                 if len(tiles) > TILE_CEILING:
-                    raise ResourceCeilingError("lite tile count exceeds ceiling")
+                    raise ResourceCeilingError("lite tile count exceeds mosaic.TILE_CEILING")
     return sorted(tiles, key=LiteTile.sort_key)
 
 

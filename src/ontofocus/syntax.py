@@ -366,10 +366,6 @@ class Ontology:
             out.update(_concept_simples(g.rhs))
         return frozenset(out)
 
-    def signature(self) -> frozenset:
-        """Predicate names (concept and role names) occurring in the ontology."""
-        return self.concept_names() | self.role_names()
-
     def __str__(self) -> str:
         lines = ["ontology %s" % (self.name or "O")]
         for a in self.sorted_axioms():

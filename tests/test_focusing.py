@@ -1,11 +1,13 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
 from ontofocus import entailment, ineq, mosaic
-from ontofocus.closedworld import intended_models_bounded
+from ontofocus.closedworld import intended_models_bounded, nullability
 from ontofocus.entailment import entails_under_closed_queries
-from ontofocus.errors import ResourceCeilingError, ScopeError
+from ontofocus.errors import DialectError, ResourceCeilingError, ScopeError, Verdict
 from ontofocus.focusing import (
     ALWAYS_FALSE,
     Bounds,
@@ -38,6 +40,8 @@ from ontofocus.syntax import (
     role,
     role_query,
 )
+
+from genutil import CONCEPTS, random_normal_ontology
 
 A, B, C = named("A"), named("B"), named("C")
 x = Var("x")
@@ -117,7 +121,7 @@ def test_eliminate_fixed_requires_certified_answers():
 def test_determinacy_vacuous():
     cfg = FocusingConfiguration.of(schema={"A"})
     v = check_determinacy(Ontology.of(), cfg)
-    assert v.kind == "holds" and v.certified
+    assert v.kind == "holds" and v.tier == "positive"
 
 
 def test_determinacy_refuted_disjunction():
@@ -142,8 +146,10 @@ def test_determinacy_disaster_holds():
         fixed=[instance_query("Drought")],
         determined=[instance_query("Disaster")],
     )
+    # no disagreement within the bounds, but they are not exhaustive
     v = check_determinacy(DISASTER, cfg, Bounds(instance_bound=2))
-    assert v.kind == "holds"
+    assert v.kind == "unknown"
+    assert v.note.startswith("instance_bound 2 is below the witness bound")
 
 
 def test_determinacy_uncertified_holds_has_unknown_tier():
@@ -156,9 +162,8 @@ def test_determinacy_uncertified_holds_has_unknown_tier():
         determined=[instance_query("A")],
     )
     v = check_determinacy(onto, cfg)
-    assert v.kind == "holds"
-    assert not v.certified
-    assert v.tier == "unknown"
+    assert v.kind == "unknown" and v.tier == "unknown"
+    assert "existential axiom" in v.note
 
 
 def test_determinacy_types_query_only_predicates_by_arity():
@@ -217,7 +222,8 @@ end
     # B(c) follows in every model, so answers agree: a focusing solution
     assert v.kind in ("solution", "unknown")
     if v.kind == "unknown":
-        assert v.determinacy_condition.kind == "holds"
+        assert v.determinacy_condition.kind == "unknown"
+        assert v.note == "condition 2: " + v.determinacy_condition.note
 
     bad = Ontology.of([ConceptInclusion((nominal("c"),), (A,))])
     cfg2 = FocusingConfiguration.of(determined=[CQ((), (QueryAtom("B", (x,)),))])
@@ -409,4 +415,67 @@ def test_entailment_set_ceiling_gives_unknown(monkeypatch):
     monkeypatch.setattr(entailment, "SET_CEILING", 1)
     v = check_entailment(onto, cfg, base, q)
     assert v.kind == "unknown"
-    assert v.note == "base restriction space exceeds ceiling"
+    assert v.note == "base restriction space exceeds entailment.SET_CEILING"
+
+
+# ---------------------------------------------------------------------------
+# every unknown names its cause
+# ---------------------------------------------------------------------------
+
+# a `Bounds` field, a module constant that `Bounds` documents, or a limit
+# of the fragment a procedure decides exactly
+CAUSES = (
+    tuple(f.name for f in dataclasses.fields(Bounds))
+    + tuple(re.findall(r"`\w+\.(\w+)`", Bounds.__doc__))
+    + ("existential axiom", "tree depth", "nominal constants outside", "the exact check excludes")
+)
+
+
+def _unknowns(verdict):
+    """verdict and the verdicts nested in its fields that read unknown."""
+    if verdict.kind == "unknown":
+        yield verdict
+    for f in dataclasses.fields(verdict):
+        nested = getattr(verdict, f.name)
+        if isinstance(nested, Verdict):
+            yield from _unknowns(nested)
+
+
+def test_every_unknown_names_its_cause():
+    rng = random.Random(3)
+    y = Var("y")
+    seen = 0
+    for _ in range(12):
+        onto = normalize(random_normal_ontology(rng, 3, allow_func=rng.random() < 0.3))
+        schema = set(rng.sample(CONCEPTS, 2)) | ({"r"} if rng.random() < 0.3 else set())
+        closed = [instance_query(c) for c in sorted(schema - {"r"}) if rng.random() < 0.6]
+        fixed = [instance_query(c) for c in CONCEPTS if c not in schema and rng.random() < 0.3]
+        determined = [instance_query(rng.choice(CONCEPTS))]
+        if rng.random() < 0.3:
+            closed.append(CQ((x,), (QueryAtom("A", (x,)), QueryAtom("B", (x,)))))
+            schema |= {"A", "B"}
+        cfg = FocusingConfiguration.of(schema, closed, fixed, determined)
+        unfixed = FocusingConfiguration.of(schema, closed)
+        base = Instance.of(*[(c, "a") for c in sorted(schema - {"r"}) if rng.random() < 0.5])
+        q = rng.choice(
+            [CQ((), (QueryAtom(rng.choice(CONCEPTS), (x,)),)), CQ((), (QueryAtom("r", (x, y)),))]
+        )
+        bounds = Bounds(fresh_bound=1, instance_bound=1)
+        calls = [
+            lambda: check_focus(onto, cfg, bounds),
+            lambda: check_emptiness(onto, unfixed),
+            lambda: check_emptiness(onto, cfg, bounds),
+            lambda: check_consistency(onto, unfixed, base, Bounds(fresh_bound=0)),
+            lambda: check_entailment(onto, unfixed, base, q),
+            lambda: nullability(onto, schema, closed, determined[0], instance_bound=1),
+            lambda: mixed_sat(onto, sorted(schema)),
+        ]
+        for call in calls:
+            try:
+                verdict = call()
+            except (DialectError, ResourceCeilingError, ScopeError):
+                continue  # outside the procedure's fragment: a typed error, not a verdict
+            for u in _unknowns(verdict):
+                seen += 1
+                assert any(cause in u.note for cause in CAUSES), repr(u)
+    assert seen >= 10

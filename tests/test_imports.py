@@ -3,8 +3,9 @@
 A top-level import that the module never reads hides the real
 dependencies between the layers, and a package import inside a function
 hides them from anyone reading the module's head.  A top-level
-definition that nothing reads is dead code.  No linter ships with the
-project, so these tests walk the source with `ast`.
+definition, method, property or dataclass field that nothing reads is
+dead code.  No linter ships with the project, so these tests walk the
+source with `ast`.
 """
 
 import ast
@@ -75,17 +76,47 @@ def _defined(tree):
             yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
+READERS = [
+    p
+    for d in ("src/ontofocus", "tests", "perfbench")
+    for p in glob.glob(os.path.join(ROOT, d, "*.py"))
+]
+
+
 def test_every_top_level_definition_is_read():
-    readers = [
-        p
-        for d in ("src/ontofocus", "tests", "perfbench")
-        for p in glob.glob(os.path.join(ROOT, d, "*.py"))
-    ]
-    read = {name for p in readers for name in _reads(_tree(p))}
+    read = {name for p in READERS for name in _reads(_tree(p))}
     dead = sorted(
         "%s.%s" % (os.path.basename(p)[:-3], name)
         for p in MODULES
         for name in _defined(_tree(p))
+        if name not in read and not name.startswith("__")
+    )
+    assert not dead, "defined but never read: %s" % dead
+
+
+def _members(tree):
+    """Methods, properties and dataclass fields of the top-level classes."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield cls.name, node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+
+
+def test_every_class_member_is_read():
+    read = set()
+    for p in READERS:
+        for node in ast.walk(_tree(p)):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+    dead = sorted(
+        "%s.%s" % (cls, name)
+        for p in MODULES
+        for cls, name in _members(_tree(p))
         if name not in read and not name.startswith("__")
     )
     assert not dead, "defined but never read: %s" % dead

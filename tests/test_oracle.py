@@ -277,6 +277,20 @@ def test_indexed_accessors_equal_scan_definitions():
             assert inst.role_pairs(r) == _scan_role_pairs(inst, r)
 
 
+def test_indexed_accessors_return_the_same_set_on_every_call():
+    # a copy per call made `member` and `concept_extension` quadratic
+    inst = Instance.of(("A", "c"), ("A", "d"), ("r", "c", "d"))
+    for read in (
+        lambda: inst.concept_atoms("A"),
+        lambda: inst.concept_atoms("Z"),
+        lambda: inst.role_pairs(role("r")),
+        lambda: inst.role_pairs(inv("r")),
+        lambda: inst.role_pairs(inv("s")),
+    ):
+        assert read() is read()
+    assert inst.role_pairs(inv("r")) == frozenset({("d", "c")})
+
+
 def test_index_leaves_equality_and_hash_on_the_atoms():
     i, j = Instance.of(("A", "c"), ("r", "c", "d")), Instance.of(("r", "c", "d"), ("A", "c"))
     i.adom(), i.role_pairs(inv("r"))  # build i's index, not j's
