@@ -23,9 +23,9 @@ degrades to unknown-at-bound.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .closedworld import in_cwa, pinned_predicates
@@ -145,20 +145,28 @@ class NType:
     root: str
     tree_atoms: frozenset
 
+    _tree = _successors = None  # memos, as the indexes of `Instance`
+
     def combined(self) -> Instance:
         return Instance(self.base.atoms | self.tree_atoms)
 
-    @cached_property
+    @property
     def tree(self) -> Instance:
         """The tree atoms as an instance, for its index of unary types."""
-        return Instance(self.tree_atoms)
+        tree = self._tree
+        if tree is None:
+            tree = self.__dict__["_tree"] = Instance(self.tree_atoms)
+        return tree
 
-    def successors(self) -> List[str]:
-        out = []
-        for p, args in sorted(self.tree_atoms):
-            if len(args) == 2 and args[0] == self.root and args[1] != self.root:
-                if args[1] not in out:
-                    out.append(args[1])
+    def successors(self) -> Tuple[str, ...]:
+        """The root's successors in the order of the sorted tree atoms,
+        computed on the first call."""
+        out = self._successors
+        if out is None:
+            out = self.__dict__["_successors"] = tuple(dict.fromkeys(
+                args[1] for _, args in sorted(self.tree_atoms)
+                if len(args) == 2 and args[0] == self.root and args[1] != self.root
+            ))
         return out
 
 
@@ -181,6 +189,14 @@ def _base_candidates(onto: Ontology, base: Instance, extra_concepts) -> Iterator
                 yield j0
 
 
+def _edge(clo, r: Role, source: str, target: str) -> Set[tuple]:
+    """The atoms of an r-edge from source to target and of its super-roles."""
+    return {
+        (s.name, (target, source) if s.inverted else (source, target))
+        for s in closure_of([r], clo)
+    }
+
+
 def enumerate_ntypes(
     onto: Ontology,
     base_restriction: Instance,
@@ -189,13 +205,20 @@ def enumerate_ntypes(
 ) -> List[NType]:
     """All depth-1 witness trees over a fixed database restriction.
 
-    Depth-one trees carry the whole desk-scale entailment workload: the
-    root is existentially saturated, children are typed fresh leaves or
-    database constants, and the root may take labelled in-edges from
-    database constants.  Fresh nodes carry a type from `types` (see
-    `build_type_links`); database constants keep their types in the
-    restriction.  A tree is kept when the value restrictions and role
-    inclusions hold on its union with the restriction.
+    The root is existentially saturated, children are typed fresh leaves
+    (`_n2`, `_n3`, ...) or database constants, and the root may take
+    labelled in-edges from database constants.  Fresh nodes carry a type
+    from `types` (see `build_type_links`).  A tree is kept, once, when
+    the value restrictions and role inclusions hold on its union with
+    the restriction.  Trees are built only from parts that pass: each
+    witness option and in-edge is checked once per root type, with the
+    restriction and the root's atoms.  This is exact.  The restriction
+    satisfies every axiom but the existential ones (`_base_candidates`);
+    a violation shows in one edge atom and the unary atoms of its ends; a
+    tree adds no unary atom to a database constant and no edge between
+    two of them; and each part's edges are closed under `role_closure`.
+    Validity does not depend on a fresh child's name, so it is checked
+    under `_n2`.
     """
     clo = role_closure(onto)
     ordered_types = sorted(types, key=sorted)
@@ -204,74 +227,53 @@ def enumerate_ntypes(
     tree_axioms = [
         a for a in onto.sorted_axioms() if isinstance(a, (ForallAxiom, RoleInclusion))
     ]
-    roles = sorted(
-        {Role(nm, False) for nm in onto.role_names()}
-        | {Role(nm, True) for nm in onto.role_names()}
-    )
-
-    # optional in-edges from database constants into the root
-    in_edge_pool = [(c, r) for c in sorted(adom0) for r in roles]
+    roles = sorted(Role(nm, inv) for nm in onto.role_names() for inv in (False, True))
+    constants = sorted(adom0)
     root = NODE_PREFIX + "1"
-    out: List[NType] = []
-    for root_t in ordered_types:
-        obligations = [a for a in exists_axioms if fresh_mem[root_t](a.lhs)]
-        witness_options = []
-        ok_root = True
-        for a in obligations:
-            # a fresh child leaf of a consistent type
-            opts = [("fresh", a.role, t2) for t2 in ordered_types if fresh_mem[t2](a.filler)]
-            # a database constant as the witness leaf
-            filler = simple_extension(base_restriction, a.filler)
-            opts += [("const", a.role, c) for c in sorted(adom0) if c in filler]
-            if not opts:
-                ok_root = False
-                break
-            witness_options.append(opts)
-        if not ok_root:
-            continue
+    # optional in-edges from database constants into the root
+    in_edges = {(c, r): _edge(clo, r, c, root) for c in constants for r in roles}
 
-        for combo in itertools.product(*witness_options) if witness_options else [()]:
-            for k in range(len(in_edge_pool) + 1):
-                for in_edges in itertools.combinations(in_edge_pool, k):
-                    atoms: Set[tuple] = set()
-                    for a in sorted(root_t):
-                        atoms.add((a, (root,)))
-                    counter = 2
-                    for kind, r, target in combo:
-                        if kind == "fresh":
-                            child = NODE_PREFIX + str(counter)
-                            counter += 1
-                            for cname in sorted(target):
-                                atoms.add((cname, (child,)))
-                            endpoint = child
-                        else:
-                            endpoint = target
-                        for s in closure_of([r], clo):
-                            if s.inverted:
-                                atoms.add((s.name, (endpoint, root)))
-                            else:
-                                atoms.add((s.name, (root, endpoint)))
-                    for (c, r) in in_edges:
-                        for s in closure_of([r], clo):
-                            if s.inverted:
-                                atoms.add((s.name, (root, c)))
-                            else:
-                                atoms.add((s.name, (c, root)))
-                    nt = NType(base_restriction, root, frozenset(atoms))
-                    combined = nt.combined()
-                    if all(_axiom_holds(combined, a) for a in tree_axioms):
-                        out.append(nt)
-                        if len(out) > NTYPE_CEILING:
-                            raise ResourceCeilingError("n-types exceed entailment.NTYPE_CEILING")
-    # drop structural duplicates (same combined atoms)
-    seen = set()
-    unique = []
-    for nt in out:
-        key = nt.tree_atoms
-        if key not in seen:
-            seen.add(key)
-            unique.append(nt)
-    return unique
+    def option_atoms(option, child: str) -> Set[tuple]:
+        kind, r, target = option
+        if kind == "const":
+            return _edge(clo, r, root, target)
+        return _edge(clo, r, root, child) | {(cname, (child,)) for cname in target}
+
+    out: Dict[frozenset, NType] = {}  # by tree atoms: equal trees are kept once
+    count = 0  # trees kept, each duplicate counted again, as the ceiling counts them
+    for root_t in ordered_types:
+        root_atoms = {(a, (root,)) for a in root_t}
+
+        def valid(part: Set[tuple]) -> bool:
+            j = Instance(base_restriction.atoms.union(root_atoms, part))
+            return all(_axiom_holds(j, a) for a in tree_axioms)
+
+        witness_options = []
+        for a in exists_axioms:
+            if not fresh_mem[root_t](a.lhs):
+                continue
+            # a fresh child leaf of a consistent type, or a database constant
+            filler = simple_extension(base_restriction, a.filler)
+            opts = [("fresh", a.role, t2) for t2 in ordered_types if fresh_mem[t2](a.filler)]
+            opts += [("const", a.role, c) for c in constants if c in filler]
+            witness_options.append(
+                [o for o in opts if valid(option_atoms(o, NODE_PREFIX + "2"))]
+            )
+        edge_pool = [e for e, atoms in in_edges.items() if valid(atoms)]
+        count += math.prod(map(len, witness_options)) << len(edge_pool)
+        if count > NTYPE_CEILING:
+            raise ResourceCeilingError("n-types exceed entailment.NTYPE_CEILING")
+        for combo in itertools.product(*witness_options):
+            atoms = set(root_atoms)
+            children = (NODE_PREFIX + str(i) for i in itertools.count(2))
+            for option in combo:
+                atoms |= option_atoms(option, next(children) if option[0] == "fresh" else "")
+            for k in range(len(edge_pool) + 1):
+                for chosen in itertools.combinations(edge_pool, k):
+                    tree = frozenset(atoms.union(*(in_edges[e] for e in chosen)))
+                    if tree not in out:
+                        out[tree] = NType(base_restriction, root, tree)
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +283,8 @@ def enumerate_ntypes(
 
 def check_coherence(onto: Ontology, members: Sequence[NType], adom0) -> bool:
     """Shared base, root-witnessing of database existentials, and
-    boundary matching of depth-one subtrees."""
+    boundary matching of depth-one subtrees.  The tests' reference for
+    `minimal_coherent_sets`, whose families pass it by construction."""
     if not members:
         return False
     base = members[0].base
@@ -343,9 +346,8 @@ def minimal_coherent_sets(
     truncated the search.
     """
     base = candidates[0].base if candidates else None
-    found: List[tuple] = []
+    found: Dict[frozenset, tuple] = {}  # by the members' tree atoms
     complete = True
-    seen: Set[frozenset] = set()
     # seeds: cover each database obligation with one member; the empty
     # family seeds the no-obligation case
     obligations = [] if base is None else list(_open_obligations(onto, base, adom0))
@@ -358,7 +360,7 @@ def minimal_coherent_sets(
 
     budget = SET_CEILING
     seeds: List[frozenset] = []
-    for combo in itertools.product(*option_lists) if option_lists else [()]:
+    for combo in itertools.product(*option_lists):
         seeds.append(frozenset(combo))
         budget -= 1
         if budget <= 0:
@@ -385,22 +387,16 @@ def minimal_coherent_sets(
                 break
             members = sorted(fam, key=lambda m: sorted(m.tree_atoms))
             # find one unmatched successor pattern
-            gap = None
-            for m in members:
-                for d in m.successors():
-                    if d in m.base.adom():
-                        continue
-                    if not any(_boundary_match(m, d, m2) for m2 in members):
-                        gap = (m, d)
-                        break
-                if gap:
-                    break
+            gap = next(
+                (
+                    (m, d) for m in members for d in m.successors()
+                    if d not in base.adom() and not any(_boundary_match(m, d, m2) for m2 in members)
+                ),
+                None,
+            )
             if gap is None:
-                if members and check_coherence(onto, members, adom0):
-                    key = frozenset(m.tree_atoms for m in members)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append(tuple(members))
+                if members:
+                    found.setdefault(frozenset(m.tree_atoms for m in members), tuple(members))
                 continue
             m, d = gap
             for m2 in by_root_type.get(m.tree.concept_memberships(d), ()):
@@ -410,7 +406,7 @@ def minimal_coherent_sets(
     # minimal unless it contains one of the minimal families kept before.
     # A kept family is filed under its member found in fewest families; a
     # family can contain it only if it contains that member.
-    keys = [frozenset(m.tree_atoms for m in fam) for fam in found]
+    keys, families = list(found), list(found.values())
     frequency = Counter(m for key in keys for m in key)
     kept: List[int] = []
     filed: Dict[frozenset, List[int]] = {}
@@ -418,7 +414,7 @@ def minimal_coherent_sets(
         if not any(keys[j] < keys[i] for m in keys[i] for j in filed.get(m, ())):
             kept.append(i)
             filed.setdefault(min(keys[i], key=frequency.__getitem__), []).append(i)
-    return [found[i] for i in sorted(kept)], complete
+    return [families[i] for i in sorted(kept)], complete
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +434,21 @@ def entails_under_closed_queries(
     closed_queries: Sequence[CQ],
     q: CQ,
 ) -> EntailmentVerdict:
-    """Is the Boolean query q true in every CWA-member extension of base?"""
+    """Is the Boolean query q true in every CWA-member extension of base?
+
+    Every CWA-member extension contains base, and a conjunctive query
+    true in base is true in every superset (Chandra and Merlin, STOC
+    1977).  So q is entailed when it holds in base; only otherwise does
+    the tree decomposition run."""
     if not onto.is_normalized():
         raise DialectError("entailment requires a normalized ontology")
     if any(isinstance(a, Functional) for a in onto.axioms):
         raise DialectError("the entailment fragment excludes functionality")
     if q.arity != 0:
         raise ValueError("the entailment query must be Boolean")
-    n = max(
-        [1]
-        + [len(cq_.variables()) for cq_ in closed_queries]
-        + [len(q.variables())]
-    )
+    if evaluate_query(base, q).holds():
+        return EntailmentVerdict("entailed", note="the query holds in the database")
+    n = max([1] + [len(cq_.variables()) for cq_ in [*closed_queries, q]])
     adom0 = base.adom()
     if onto.constants() - adom0:
         return EntailmentVerdict(

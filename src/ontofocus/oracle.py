@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .syntax import (
@@ -62,59 +61,61 @@ class Instance:
             out.add((pred, args))
         return Instance(frozenset(out), name)
 
-    # Indexes built on first use; equality and the hash stay on the fields.
-    # Accessors freeze only the group they read: most instances are read once.
-    @cached_property
-    def _adom(self) -> FrozenSet[str]:
-        return frozenset(c for _, args in self.atoms for c in args)
+    # Indexes built on first use and kept in the instance dictionary, where
+    # they hide these class-level Nones (on Python 3.11 a
+    # `functools.cached_property` takes a lock on first read); equality and
+    # the hash stay on the fields.
+    _adom = _index = _types = None
 
-    @cached_property
+    def adom(self) -> FrozenSet[str]:
+        adom = self._adom
+        if adom is None:
+            adom = self.__dict__["_adom"] = frozenset(c for _, args in self.atoms for c in args)
+        return adom
+
     def _by_predicate(self) -> Tuple[Dict[str, set], Dict[str, set], dict]:
         """The unary and the binary atoms' arguments by predicate, and the
         frozen copies that `concept_atoms` and `role_pairs` hand out, made
         on first read: most instances are read once, and freezing every
         group up front slowed the oracle's model checks by about a tenth."""
-        unary, binary = {}, {}
-        for p, args in self.atoms:
-            if len(args) == 1:
-                unary.setdefault(p, set()).add(args[0])
-            elif len(args) == 2:
-                binary.setdefault(p, set()).add(args)
-        return unary, binary, {}
-
-    @cached_property
-    def _types(self) -> Dict[str, set]:
-        """The concept names of each constant."""
-        types: Dict[str, set] = {}
-        for p, args in self.atoms:
-            if len(args) == 1:
-                types.setdefault(args[0], set()).add(p)
-        return types
-
-    def adom(self) -> FrozenSet[str]:
-        return self._adom
+        index = self._index
+        if index is None:
+            unary, binary = {}, {}
+            for p, args in self.atoms:
+                if len(args) == 1:
+                    unary.setdefault(p, set()).add(args[0])
+                elif len(args) == 2:
+                    binary.setdefault(p, set()).add(args)
+            index = self.__dict__["_index"] = (unary, binary, {})
+        return index
 
     def predicates(self) -> FrozenSet[str]:
         return frozenset(p for p, _ in self.atoms)
 
     def predicates_unary(self) -> FrozenSet[str]:
-        return frozenset(self._by_predicate[0])
+        return frozenset(self._by_predicate()[0])
 
     def predicates_binary(self) -> FrozenSet[str]:
-        return frozenset(self._by_predicate[1])
+        return frozenset(self._by_predicate()[1])
 
     def concept_memberships(self, const: str) -> FrozenSet[str]:
-        return frozenset(self._types.get(const, ()))
+        types = self._types  # the concept names of each constant
+        if types is None:
+            types = self.__dict__["_types"] = {}
+            for p, args in self.atoms:
+                if len(args) == 1:
+                    types.setdefault(args[0], set()).add(p)
+        return frozenset(types.get(const, ()))
 
     def concept_atoms(self, name: str) -> FrozenSet[str]:
-        unary, _, frozen = self._by_predicate
+        unary, _, frozen = self._index or self._by_predicate()
         ext = frozen.get(name)
         if ext is None:
             ext = frozen[name] = frozenset(unary.get(name, ()))
         return ext
 
     def role_pairs(self, r: Role) -> FrozenSet[Tuple[str, str]]:
-        _, binary, frozen = self._by_predicate
+        _, binary, frozen = self._index or self._by_predicate()
         pairs = frozen.get(r)
         if pairs is None:
             pairs = binary.get(r.name, ())
@@ -335,7 +336,7 @@ def _match_atoms(
             yield from _match_atoms(inst, rest, binding2, domain)
     else:
         t1, t2 = a.args
-        for c1, c2 in inst._by_predicate[1].get(a.pred, ()):
+        for c1, c2 in (inst._index or inst._by_predicate())[1].get(a.pred, ()):
             b2 = _extend(binding, t1, c1)
             if b2 is None:
                 continue

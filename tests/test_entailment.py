@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+from ontofocus import entailment
 from ontofocus.closedworld import in_cwa
 from ontofocus.entailment import (
+    NODE_PREFIX,
     EntailmentVerdict,
+    NType,
     build_bad_match_ucq,
     build_type_links,
     check_coherence,
@@ -14,7 +18,16 @@ from ontofocus.entailment import (
     minimal_coherent_sets,
     _base_candidates,
 )
-from ontofocus.oracle import EMPTY, Instance, enumerate_extensions, evaluate_query
+from ontofocus.errors import ResourceCeilingError
+from ontofocus.oracle import (
+    EMPTY,
+    Instance,
+    _axiom_holds,
+    _element_mem,
+    enumerate_extensions,
+    evaluate_query,
+    simple_extension,
+)
 from ontofocus.syntax import (
     BOT,
     CQ,
@@ -23,15 +36,19 @@ from ontofocus.syntax import (
     ForallAxiom,
     Ontology,
     QueryAtom,
+    Role,
+    RoleInclusion,
     TOP,
     UCQ,
     Var,
+    closure_of,
     inv,
     instance_query,
     named,
     nominal,
     normalize,
     role,
+    role_closure,
 )
 
 from genutil import random_normal_ontology
@@ -169,6 +186,122 @@ def test_ntypes_respect_role_inclusions():
         assert combined.role_pairs(role("r")) <= combined.role_pairs(role("s"))
 
 
+def reference_ntypes(onto, base_restriction, adom0, types, filtered=True):
+    """The generate-and-filter definition of `enumerate_ntypes`: build
+    every tree from every witness choice and in-edge set, and keep those
+    on whose union with the restriction the value restrictions and role
+    inclusions hold (all of them when not `filtered`)."""
+    clo = role_closure(onto)
+    ordered_types = sorted(types, key=sorted)
+    fresh_mem = {t: _element_mem(None, t, True) for t in ordered_types}
+    exists_axioms = [a for a in onto.sorted_axioms() if isinstance(a, ExistsAxiom)]
+    tree_axioms = [
+        a for a in onto.sorted_axioms() if isinstance(a, (ForallAxiom, RoleInclusion))
+    ]
+    roles = sorted(
+        {Role(nm, False) for nm in onto.role_names()}
+        | {Role(nm, True) for nm in onto.role_names()}
+    )
+    in_edge_pool = [(c, r) for c in sorted(adom0) for r in roles]
+    root = NODE_PREFIX + "1"
+    out = []
+    for root_t in ordered_types:
+        obligations = [a for a in exists_axioms if fresh_mem[root_t](a.lhs)]
+        witness_options = []
+        for a in obligations:
+            opts = [("fresh", a.role, t2) for t2 in ordered_types if fresh_mem[t2](a.filler)]
+            filler = simple_extension(base_restriction, a.filler)
+            opts += [("const", a.role, c) for c in sorted(adom0) if c in filler]
+            witness_options.append(opts)
+        for combo in itertools.product(*witness_options):
+            for k in range(len(in_edge_pool) + 1):
+                for in_edges in itertools.combinations(in_edge_pool, k):
+                    atoms = {(a, (root,)) for a in root_t}
+                    counter = 2
+                    for kind, r, target in combo:
+                        if kind == "fresh":
+                            endpoint = NODE_PREFIX + str(counter)
+                            counter += 1
+                            atoms |= {(cname, (endpoint,)) for cname in target}
+                        else:
+                            endpoint = target
+                        for s in closure_of([r], clo):
+                            atoms.add((s.name, (endpoint, root) if s.inverted else (root, endpoint)))
+                    for c, r in in_edges:
+                        for s in closure_of([r], clo):
+                            atoms.add((s.name, (root, c) if s.inverted else (c, root)))
+                    nt = NType(base_restriction, root, frozenset(atoms))
+                    combined = nt.combined()
+                    if not filtered or all(_axiom_holds(combined, a) for a in tree_axioms):
+                        out.append(nt)
+                        if len(out) > entailment.NTYPE_CEILING:
+                            raise ResourceCeilingError("n-types exceed entailment.NTYPE_CEILING")
+    unique = {}
+    for nt in out:
+        unique.setdefault(nt.tree_atoms, nt)
+    return list(unique.values())
+
+
+def _ntype_cases(count):
+    """Seeded ontologies with inverse roles, role inclusions, value
+    restrictions and the nominal {c0}, over 0-2 database constants (c0
+    among them or not), each with up to three base restrictions."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        onto = normalize(
+            random_normal_ontology(
+                rng, rng.randint(3, 5), concepts=["A", "B"], roles=["r", "s"],
+                allow_nominal=True, allow_func=False,
+            )
+        )
+        base = Instance.of(*rng.choice([
+            [],
+            [("A", "c0")],
+            [("B", "c1")],
+            [("A", "c0"), ("r", "c0", "c1")],
+            [("B", "c1"), ("s", "c1", "c0")],
+        ]))
+        try:
+            restrictions = list(itertools.islice(_base_candidates(onto, base, []), 3))
+        except ResourceCeilingError:
+            continue
+        for restriction in restrictions:
+            yield seed, onto, restriction, base.adom(), build_type_links(onto)
+
+
+def _ntypes_or_ceiling(build, *args):
+    try:
+        return [(nt.base, nt.root, nt.tree_atoms) for nt in build(*args)]
+    except ResourceCeilingError as exc:
+        return str(exc)
+
+
+def test_enumerate_ntypes_matches_generate_and_filter():
+    # the lists must be equal element by element; `pruned` counts the
+    # cases where the filter rejects some tree, so that a part check
+    # left out shows
+    compared = pruned = 0
+    for seed, onto, restriction, adom0, types in _ntype_cases(60):
+        expected = _ntypes_or_ceiling(reference_ntypes, onto, restriction, adom0, types)
+        got = _ntypes_or_ceiling(enumerate_ntypes, onto, restriction, adom0, types)
+        assert got == expected, "seed %d, restriction %s" % (seed, restriction)
+        every = _ntypes_or_ceiling(reference_ntypes, onto, restriction, adom0, types, False)
+        compared += 1
+        pruned += every != expected
+    assert compared >= 60 and pruned >= 10, (compared, pruned)
+
+
+def test_enumerate_ntypes_ceiling_matches_generate_and_filter(monkeypatch):
+    monkeypatch.setattr(entailment, "NTYPE_CEILING", 6)
+    raised = 0
+    for seed, onto, restriction, adom0, types in _ntype_cases(30):
+        expected = _ntypes_or_ceiling(reference_ntypes, onto, restriction, adom0, types)
+        got = _ntypes_or_ceiling(enumerate_ntypes, onto, restriction, adom0, types)
+        assert got == expected, "seed %d, restriction %s" % (seed, restriction)
+        raised += isinstance(got, str)
+    assert raised
+
+
 def test_coherence_shared_base_required():
     links = build_type_links(Ontology.of())
     b1 = Instance.of(("A", "c"))
@@ -176,6 +309,21 @@ def test_coherence_shared_base_required():
     (t1,) = enumerate_ntypes(Ontology.of(), b1, b1.adom(), links)[:1]
     (t2,) = enumerate_ntypes(Ontology.of(), b2, b2.adom(), links)[:1]
     assert not check_coherence(Ontology.of(), [t1, t2], {"c"})
+
+
+def test_minimal_coherent_sets_pass_check_coherence():
+    # the gap search leaves the coherence check out: its families must
+    # pass it by construction
+    families = 0
+    for seed, onto, restriction, adom0, types in _ntype_cases(40):
+        try:
+            ntypes = enumerate_ntypes(onto, restriction, adom0, types)
+        except ResourceCeilingError:
+            continue
+        for fam in minimal_coherent_sets(onto, ntypes, adom0)[0]:
+            assert check_coherence(onto, list(fam), adom0), "seed %d" % seed
+            families += 1
+    assert families >= 20, families
 
 
 def test_minimal_coherent_sets_cover_obligations():
@@ -199,6 +347,54 @@ def test_entailed_trivially_by_base():
         Ontology.of(), Instance.of(("A", "c")), [], boolean([QueryAtom("A", (x,))])
     )
     assert v.kind == "entailed"
+
+
+@pytest.mark.parametrize(
+    "onto, base, q",
+    [
+        # a two-variable query: the tree layer supports depth one only
+        (
+            Ontology.of([ExistsAxiom(A, role("r"), B), ForallAxiom(B, role("s"), A)]),
+            Instance.of(("A", "c"), ("r", "c", "d")),
+            boolean([QueryAtom("r", (x, y))]),
+        ),
+        # a nominal outside the database: the tree layer does not cover it
+        (
+            Ontology.of([ConceptInclusion((B,), (nominal("e"),)), ExistsAxiom(A, role("r"), B)]),
+            Instance.of(("A", "c")),
+            boolean([QueryAtom("A", (x,))]),
+        ),
+    ],
+    ids=["two-variable-query", "nominal-outside-database"],
+)
+def test_query_true_in_the_database_is_entailed(onto, base, q):
+    v = entails_under_closed_queries(onto, base, [], q)
+    assert v.kind == "entailed" and "database" in v.note
+
+
+def test_oracle_agreement_with_queries_true_in_the_database():
+    # every CWA-member extension contains the database, so a query that
+    # matches it holds in every member the oracle finds
+    members = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        onto = normalize(
+            random_normal_ontology(rng, 3, concepts=["A", "B"], roles=["r"], allow_func=False)
+        )
+        base = Instance.of(("A", "c"), ("r", "c", "d"), ("B", "d"))
+        closed = [instance_query("B")] if rng.random() < 0.5 else []
+        q = boolean(rng.choice([
+            [QueryAtom("A", (x,))],
+            [QueryAtom("r", (x, y)), QueryAtom("B", (y,))],
+            [QueryAtom("r", (x, y)), QueryAtom("A", (x,)), QueryAtom("r", (x, Var("z")))],
+        ]))
+        assert entails_under_closed_queries(onto, base, closed, q).kind == "entailed"
+        queries = [instance_query("A"), instance_query("B"), q]
+        for j in enumerate_extensions(onto, base, 1, queries=queries):
+            if in_cwa(onto, base, closed, j):
+                assert evaluate_query(j, q).holds(), "seed %d: %s" % (seed, j)
+                members += 1
+    assert members, "no seed has a CWA member"
 
 
 def test_not_entailed_with_counterexample():
